@@ -112,21 +112,17 @@ def ingest(path, fmt: str | None = None, group_column: str | None = None, *,
         if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
             bad = sorted(np.flatnonzero(~np.isfinite(weights) | (weights <= 0.0)).tolist())
             raise ValueError(f"{path}: zero, negative or non-finite weights in data rows {bad}")
+
+    from .dualspace import GroupedSampleSet, SampleSet, check_samples
+
+    flat = SampleSet(points, weights)
     if generator is not None:
-        boundary_ok = allow_boundary and generator.boundary_first_args
-        mask = generator.domain.contains(points, allow_boundary=boundary_ok)
-        if points.shape[1] != generator.dim:
-            raise DomainError(
-                f"{path}: points have dimension {points.shape[1]}, generator expects {generator.dim}"
-            )
-        if not np.all(mask):
-            bad = sorted(np.flatnonzero(~mask).tolist())
-            raise DomainError(f"{path}: data rows {bad} outside the {generator.domain.kind} domain")
-
-    from .dualspace import GroupedSampleSet, SampleSet
-
+        try:
+            check_samples(generator, flat, allow_boundary=allow_boundary)
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from None
     if groups is None:
-        return SampleSet(points, weights)
+        return flat
     raw_weights = weights if weights is not None else np.full(points.shape[0], 1.0)
     keys = []
     for key in groups:
@@ -190,10 +186,16 @@ def _read_json(path, group_column):
         raise ValueError(f"{path}: ragged point rows {sorted(lengths)}")
     weights = payload.get("weights")
     groups = payload.get("groups")
+    for name, values in (("weights", weights), ("groups", groups)):
+        if values is not None and not isinstance(values, list):
+            raise ValueError(f"{path}: '{name}' must be an array")
     if weights is not None and len(weights) != len(points):
         raise ValueError(f"{path}: weights length {len(weights)} != points length {len(points)}")
     if groups is not None and len(groups) != len(points):
         raise ValueError(f"{path}: groups length {len(groups)} != points length {len(points)}")
+    bad = [i for i, key in enumerate(groups or []) if isinstance(key, (list, dict))]
+    if bad:
+        raise ValueError(f"{path}: non-scalar group entries in data rows {bad}")
     return points, weights, groups
 
 
@@ -411,15 +413,12 @@ def cmd_total_variance(args) -> int:
 
 
 def _has_group_column(path, group_col) -> bool:
-    """Whether applying `group_col` to this file would yield groups."""
-    lowered = str(path).lower()
-    if lowered.endswith(".json"):
-        import json
+    """Whether `group_col` names a column of this CSV file.
 
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return isinstance(payload, dict) and payload.get("groups") is not None
-    if not group_col:
+    Always false for JSON files, whose groups are read from the file itself
+    whatever the column argument says.
+    """
+    if not group_col or str(path).lower().endswith(".json"):
         return False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader(fh), [])

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualspace import (
+    _DUAL,
+    _PRIMAL,
     GroupedSampleSet,
     SampleSet,
+    _side,
     check_samples,
     dual_mean,
     dual_variance,
@@ -189,24 +192,42 @@ def total_variance(g: ConvexGenerator, grouped: GroupedSampleSet, mode: str) -> 
     the per-group centers (explained).  In dual mode both the within-group
     terms and the center spread use the dual mean.
     """
-    if mode not in ("primal", "dual"):
-        raise ValueError("mode must be 'primal' or 'dual'")
+    side = _side(mode)
     flat = grouped.flatten()
     keys = list(grouped.keys())
     weights = np.asarray([grouped.weight(k) for k in keys])
-    if mode == "primal":
-        total = primal_variance(g, flat)
-        unexplained = float(weights @ [primal_variance(g, grouped.groups[k]) for k in keys])
-        centers = SampleSet([primal_mean(grouped.groups[k]) for k in keys], weights)
-        explained = primal_variance(g, centers)
-    else:
-        total = dual_variance(g, flat)
-        unexplained = float(weights @ [dual_variance(g, grouped.groups[k]) for k in keys])
-        centers = SampleSet([dual_mean(g, grouped.groups[k]) for k in keys], weights)
-        explained = dual_variance(g, centers)
+    total = side.variance(g, flat)
+    unexplained = float(weights @ [side.variance(g, grouped.groups[k]) for k in keys])
+    centers = SampleSet([side.center(g, grouped.groups[k]) for k in keys], weights)
+    explained = side.variance(g, centers)
     residual = total - (explained + unexplained)
     return TotalVarianceReport(
         total=total, explained=explained, unexplained=unexplained, residual=residual, mode=mode
+    )
+
+
+def _conditional(g: ConvexGenerator, side, grouped: GroupedSampleSet, point) -> ConditionalReport:
+    """Conditioning report for the grouped ``side`` against a fixed point on the other side."""
+    flat = grouped.flatten()
+    check_samples(g, flat, allow_boundary=side.boundary_samples)
+    keys = list(grouped.keys())
+    weights = np.asarray([grouped.weight(k) for k in keys])
+    centers = np.asarray([side.center(g, grouped.groups[k]) for k in keys])
+    whole_center = side.center(g, flat)
+    conditional_bias = float(weights @ side.spread(g, centers, point))
+    conditional_variance = float(weights @ [side.variance(g, grouped.groups[k]) for k in keys])
+    unconditional_bias = float(side.spread(g, whole_center, point, validate=True))
+    unconditional_variance = side.variance(g, flat)
+    gap = float(weights @ side.spread(g, centers, whole_center))
+    return ConditionalReport(
+        conditional_bias=conditional_bias,
+        conditional_variance=conditional_variance,
+        unconditional_bias=unconditional_bias,
+        unconditional_variance=unconditional_variance,
+        gap=gap,
+        side=side.role,
+        bias_residual=conditional_bias - (unconditional_bias + gap),
+        variance_residual=conditional_variance - (unconditional_variance - gap),
     )
 
 
@@ -222,29 +243,7 @@ def conditional_prediction(
     """
     label = np.asarray(label, dtype=float)
     g.domain.validate(label, allow_boundary=g.boundary_first_args, role="label")
-    flat = grouped_predictions.flatten()
-    check_samples(g, flat)
-    keys = list(grouped_predictions.keys())
-    weights = np.asarray([grouped_predictions.weight(k) for k in keys])
-    centers = np.asarray([dual_mean(g, grouped_predictions.groups[k]) for k in keys])
-    whole_center = dual_mean(g, flat)
-    conditional_bias = float(weights @ divergence(g, label, centers, validate=False))
-    conditional_variance = float(
-        weights @ [dual_variance(g, grouped_predictions.groups[k]) for k in keys]
-    )
-    unconditional_bias = float(divergence(g, label, whole_center))
-    unconditional_variance = dual_variance(g, flat)
-    gap = float(weights @ divergence(g, whole_center, centers, validate=False))
-    return ConditionalReport(
-        conditional_bias=conditional_bias,
-        conditional_variance=conditional_variance,
-        unconditional_bias=unconditional_bias,
-        unconditional_variance=unconditional_variance,
-        gap=gap,
-        side="prediction",
-        bias_residual=conditional_bias - (unconditional_bias + gap),
-        variance_residual=conditional_variance - (unconditional_variance - gap),
-    )
+    return _conditional(g, _DUAL, grouped_predictions, label)
 
 
 def conditional_label(
@@ -258,29 +257,7 @@ def conditional_label(
     """
     prediction = np.asarray(prediction, dtype=float)
     g.domain.validate_second(prediction)
-    flat = grouped_labels.flatten()
-    check_samples(g, flat, allow_boundary=True)
-    keys = list(grouped_labels.keys())
-    weights = np.asarray([grouped_labels.weight(k) for k in keys])
-    centers = np.asarray([primal_mean(grouped_labels.groups[k]) for k in keys])
-    whole_center = primal_mean(flat)
-    conditional_bias = float(weights @ divergence(g, centers, prediction, validate=False))
-    conditional_variance = float(
-        weights @ [primal_variance(g, grouped_labels.groups[k]) for k in keys]
-    )
-    unconditional_bias = float(divergence(g, whole_center, prediction, validate=False))
-    unconditional_variance = primal_variance(g, flat)
-    gap = float(weights @ divergence(g, centers, whole_center, validate=False))
-    return ConditionalReport(
-        conditional_bias=conditional_bias,
-        conditional_variance=conditional_variance,
-        unconditional_bias=unconditional_bias,
-        unconditional_variance=unconditional_variance,
-        gap=gap,
-        side="label",
-        bias_residual=conditional_bias - (unconditional_bias + gap),
-        variance_residual=conditional_variance - (unconditional_variance - gap),
-    )
+    return _conditional(g, _PRIMAL, grouped_labels, prediction)
 
 
 def ensemble_effect(

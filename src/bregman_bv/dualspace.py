@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -141,13 +141,64 @@ def check_samples(g: ConvexGenerator, s: SampleSet, *, allow_boundary: bool = Fa
     boundary_ok = allow_boundary and g.boundary_first_args
     mask = g.domain.contains(s.points, allow_boundary=boundary_ok)
     if not np.all(mask):
-        bad = list(np.flatnonzero(~mask))
+        bad = np.flatnonzero(~mask).tolist()
         raise DomainError(f"samples {bad} outside the {g.domain.kind} domain")
+
+
+class _Side(NamedTuple):
+    """One side of the primal/dual symmetry: labels (primal) or predictions (dual).
+
+    The center is the weighted mean taken in the side's coordinates and mapped
+    back; it minimizes the expected ``spread(g, x, center)``, which is
+    D(x, c) on the primal side and D(c, x) on the dual side.
+    """
+
+    role: str
+    to_coords: Callable
+    from_coords: Callable
+    spread: Callable
+    boundary_samples: bool
+
+    def center(self, g, s: SampleSet):
+        return self.from_coords(g, s.weights @ self.to_coords(g, s.points))
+
+    def variance(self, g, s: SampleSet) -> float:
+        if s.n == 1 or np.all(s.points == s.points[0]):
+            return 0.0
+        return float(s.weights @ self.spread(g, s.points, self.center(g, s)))
+
+    def average(self, g, points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[0] < 1:
+            raise ValueError("need at least one point")
+        return self.from_coords(g, np.mean(self.to_coords(g, points), axis=0))
+
+
+_PRIMAL = _Side(
+    role="label",
+    to_coords=lambda g, x: x,
+    from_coords=lambda g, x: x,
+    spread=lambda g, x, c, validate=False: divergence(g, x, c, validate=validate),
+    boundary_samples=True,
+)
+_DUAL = _Side(
+    role="prediction",
+    to_coords=lambda g, x: g.grad(x),
+    from_coords=lambda g, xstar: g.grad_conj(xstar),
+    spread=lambda g, x, c, validate=False: divergence(g, c, x, validate=validate),
+    boundary_samples=False,
+)
+
+
+def _side(mode: str) -> _Side:
+    if mode not in ("primal", "dual"):
+        raise ValueError("mode must be 'primal' or 'dual'")
+    return _PRIMAL if mode == "primal" else _DUAL
 
 
 def primal_mean(s: SampleSet):
     """Weighted arithmetic mean; minimizes the expected divergence from the samples."""
-    return s.weights @ s.points
+    return _PRIMAL.center(None, s)
 
 
 def dual_mean(g: ConvexGenerator, s: SampleSet):
@@ -157,11 +208,7 @@ def dual_mean(g: ConvexGenerator, s: SampleSet):
     divergence to the samples.  For the simplex entropy generator this is
     the normalized geometric mean.
     """
-    return g.grad_conj(s.weights @ g.grad(s.points))
-
-
-def _is_constant(s: SampleSet) -> bool:
-    return s.n == 1 or bool(np.all(s.points == s.points[0]))
+    return _DUAL.center(g, s)
 
 
 def primal_variance(g: ConvexGenerator, s: SampleSet) -> float:
@@ -169,11 +216,7 @@ def primal_variance(g: ConvexGenerator, s: SampleSet) -> float:
 
     Exactly zero for a constant sample set.
     """
-    if _is_constant(s):
-        return 0.0
-    center = primal_mean(s)
-    values = divergence(g, s.points, center, validate=False)
-    return float(s.weights @ values)
+    return _PRIMAL.variance(g, s)
 
 
 def dual_variance(g: ConvexGenerator, s: SampleSet) -> float:
@@ -181,19 +224,12 @@ def dual_variance(g: ConvexGenerator, s: SampleSet) -> float:
 
     Exactly zero for a constant sample set.
     """
-    if _is_constant(s):
-        return 0.0
-    center = dual_mean(g, s)
-    values = divergence(g, center, s.points, validate=False)
-    return float(s.weights @ values)
+    return _DUAL.variance(g, s)
 
 
 def primal_average(points):
     """Plain arithmetic mean of a batch of points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < 1:
-        raise ValueError("need at least one point")
-    return np.mean(points, axis=0)
+    return _PRIMAL.average(None, points)
 
 
 def dual_average(g: ConvexGenerator, points):
@@ -202,14 +238,7 @@ def dual_average(g: ConvexGenerator, points):
     For the simplex entropy generator this is the normalized geometric mean
     of the points.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < 1:
-        raise ValueError("need at least one point")
-    return g.grad_conj(np.mean(g.grad(points), axis=0))
-
-
-def _multiset_count(n_atoms: int, draws: int) -> int:
-    return math.comb(draws + n_atoms - 1, draws)
+    return _DUAL.average(g, points)
 
 
 def ensemble_distribution(
@@ -225,45 +254,36 @@ def ensemble_distribution(
     """Distribution of the n-fold i.i.d. average of draws from ``s``.
 
     Exact by default: enumerates multisets of atoms with multinomial
-    weights and maps each through the primal or dual average.  When the
-    multiset count exceeds ``cap``, raises; pass ``mc_draws`` (with a seed)
-    to fall back to Monte Carlo sampling of ensembles instead.
+    weights and maps each through the primal or dual average.  Weights are
+    computed in log space; atoms whose weight underflows to zero add nothing
+    to any expectation and are left out.  When the multiset count exceeds
+    ``cap``, raises; pass ``mc_draws`` (with a seed) to fall back to Monte
+    Carlo sampling of ensembles instead.
     """
-    if mode not in ("primal", "dual"):
-        raise ValueError("mode must be 'primal' or 'dual'")
+    side = _side(mode)
     n = int(n)
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
     if n == 1:
         return s
+    coords = side.to_coords(g, s.points)
     if mc_draws is not None:
         if seed is None:
             raise ValueError("Monte Carlo ensembling requires an explicit seed")
         rng = np.random.default_rng(int(seed))
         idx = rng.choice(s.n, size=(int(mc_draws), n), p=s.weights)
-        if mode == "primal":
-            points = np.mean(s.points[idx], axis=1)
-        else:
-            points = g.grad_conj(np.mean(g.grad(s.points)[idx], axis=1))
-        return SampleSet(points)
-    total = _multiset_count(s.n, n)
+        return SampleSet(side.from_coords(g, np.mean(coords[idx], axis=1)))
+    total = math.comb(n + s.n - 1, n)
     if total > cap:
         raise EnumerationCapError(
             f"exact ensembling needs {total} atoms (> cap {cap}); "
             "pass mc_draws and a seed for the Monte Carlo fallback"
         )
     counts = np.zeros((total, s.n))
-    weights = np.empty(total)
-    n_fact = math.factorial(n)
     for row, combo in enumerate(itertools.combinations_with_replacement(range(s.n), n)):
-        c = np.bincount(combo, minlength=s.n)
-        counts[row] = c
-        coef = n_fact
-        for ci in c:
-            coef //= math.factorial(int(ci))
-        weights[row] = coef * float(np.prod(s.weights**c))
-    if mode == "primal":
-        points = (counts @ s.points) / n
-    else:
-        points = g.grad_conj((counts @ g.grad(s.points)) / n)
-    return SampleSet(points, weights)
+        counts[row] = np.bincount(combo, minlength=s.n)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    log_weights = log_fact[n] - np.sum(log_fact[counts.astype(int)], axis=1) + counts @ np.log(s.weights)
+    weights = np.exp(log_weights - np.max(log_weights))
+    kept = weights > 0.0
+    return SampleSet(side.from_coords(g, (counts @ coords)[kept] / n), weights[kept])

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InversionError
 
@@ -192,8 +191,9 @@ class Mahalanobis(ConvexGenerator):
     """F(x) = x^T A x for symmetric positive-definite A.
 
     The induced divergence is the squared Mahalanobis distance
-    (y - x)^T A (y - x).  ``grad_conj`` solves 2 A z = x* with a Cholesky
-    factorization computed once at construction.
+    (y - x)^T A (y - x).  Positive definiteness is checked once at
+    construction (a Cholesky factorization must exist); ``grad_conj``
+    solves 2 A z = x* for z.
     """
 
     def __init__(self, matrix):
@@ -204,9 +204,11 @@ class Mahalanobis(ConvexGenerator):
         if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * scale):
             raise ValueError("Mahalanobis matrix must be symmetric")
         matrix = 0.5 * (matrix + matrix.T)
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("Mahalanobis matrix must be finite")
         try:
-            self._chol = scipy.linalg.cho_factor(matrix)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError as exc:
             raise ValueError("Mahalanobis matrix must be positive definite") from exc
         self.name = "mahalanobis"
         self.domain = FullSpace(matrix.shape[0])
@@ -232,7 +234,7 @@ class Mahalanobis(ConvexGenerator):
     def grad_conj(self, xstar):
         xstar = np.asarray(xstar, dtype=float)
         flat = xstar.reshape(-1, self.dim)
-        solved = scipy.linalg.cho_solve(self._chol, 0.5 * flat.T).T
+        solved = np.linalg.solve(self._matrix, 0.5 * flat.T).T
         return solved.reshape(xstar.shape)
 
 

@@ -16,7 +16,7 @@ from bregman_bv import (
     ingest,
     render_json,
 )
-from bregman_bv.cli import main
+from bregman_bv.cli import _has_group_column, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,8 +54,9 @@ class TestIngest:
 
     def test_domain_validation_reports_rows(self):
         g = NegativeEntropySimplex(2)
-        with pytest.raises(DomainError, match=r"\[0\]"):
+        with pytest.raises(DomainError, match=r"\[0\]") as info:
             ingest(fx("labels_onehot.csv"), generator=g)
+        assert str(info.value) == f"{fx('labels_onehot.csv')}: samples [0] outside the open-simplex domain"
         # the same file passes with the boundary allowance
         s = ingest(fx("labels_onehot.csv"), generator=g, allow_boundary=True)
         assert s.n == 1
@@ -95,6 +96,24 @@ class TestIngest:
         path.write_text("x0\n1\n")
         with pytest.raises(ValueError, match="infer format"):
             ingest(str(path))
+
+    def test_json_list_groups_rejected(self, tmp_path):
+        path = tmp_path / "lg.json"
+        path.write_text('{"points": [[1, 2], [3, 4], [5, 6]], "groups": [[1], "a", {"k": 2}]}')
+        with pytest.raises(ValueError, match=r"non-scalar group entries in data rows \[0, 2\]"):
+            ingest(str(path))
+
+    @pytest.mark.parametrize("key", ["weights", "groups"])
+    def test_json_scalar_instead_of_array(self, tmp_path, key):
+        path = tmp_path / "s.json"
+        path.write_text('{"points": [[1, 2]], "%s": 5}' % key)
+        with pytest.raises(ValueError, match=f"'{key}' must be an array"):
+            ingest(str(path))
+
+    def test_group_column_peek_skips_json(self, tmp_path):
+        # JSON groups come from the file itself, so the file is never opened here
+        assert _has_group_column(str(tmp_path / "absent.json"), "z") is False
+        assert _has_group_column(fx("grouped_euclid.csv"), "z") is True
 
     def test_ragged_json(self, tmp_path):
         path = tmp_path / "r.json"
@@ -256,6 +275,24 @@ class TestSubcommands:
         assert c1 == 0 and c2 == 0 and b1 == b2
         assert b'"bias_preserved": true' in b1
 
+    @pytest.mark.parametrize("rows, n", [
+        ("x0,x1\n0.8,0.2\n0.6,0.4\n", 1100),  # coefficients beyond the float range
+        ("x0,x1,weight\n0.8,0.2,1\n0.6,0.4,1e-200\n", 2),  # an atom weight underflows
+    ], ids=["n=1100", "tiny-weight"])
+    def test_ensemble_extreme_cases_certify(self, tmp_path, capsys, rows, n):
+        preds = tmp_path / "preds.csv"
+        preds.write_text(rows)
+        out = tmp_path / "ens.json"
+        code = main([
+            "ensemble", "--generator", "negative-entropy-simplex", "--dim", "2",
+            "--labels", fx("labels_onehot.csv"), "--predictions", str(preds),
+            "--mode", "dual", "--ensemble-n", str(n), "--label-onehot", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = out.read_bytes()
+        assert b'"bias_preserved": true' in report and b'"variance_reduced": true' in report
+
     def test_ensemble_monte_carlo_seeded(self, tmp_path):
         argv = [
             "ensemble", "--generator", "negative-entropy-simplex", "--dim", "2",
@@ -326,6 +363,16 @@ class TestExitCodes:
             "--group-col", "z",
         ])
         assert code == 1
+
+    def test_list_valued_json_groups_are_input_errors(self, tmp_path, capsys):
+        path = tmp_path / "lg.json"
+        path.write_text('{"points": [[0.5, 0.5], [0.6, 0.4]], "groups": [[1], [2]]}')
+        code = main([
+            "total-variance", "--generator", "negative-entropy-simplex", "--dim", "2",
+            "--predictions", str(path), "--mode", "dual",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: non-scalar group entries in data rows [0, 1]\n"
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["decompose", "--generator", "squared-euclidean"]) == 1

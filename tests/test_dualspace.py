@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bregman_bv import (
+    DomainError,
     EnumerationCapError,
     GroupedSampleSet,
     NegativeEntropySimplex,
     SampleSet,
     SquaredEuclidean,
+    check_samples,
     dual_average,
     dual_mean,
     dual_variance,
@@ -79,6 +81,18 @@ class TestGroupedSampleSet:
             GroupedSampleSet({"a": SampleSet([[1.0]]), "b": SampleSet([[1.0, 2.0]])})
         with pytest.raises(ValueError):
             GroupedSampleSet({"a": SampleSet([[1.0]])}, [0.0])
+
+
+class TestCheckSamples:
+    def test_message_lists_plain_row_indices(self):
+        s = SampleSet([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError) as info:
+            check_samples(NegativeEntropySimplex(2), s)
+        assert str(info.value) == "samples [1, 2] outside the open-simplex domain"
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError, match="points have dimension 2, generator expects 3"):
+            check_samples(SquaredEuclidean(3), kl_pair())
 
 
 class TestMeans:
@@ -207,6 +221,19 @@ class TestEnsembleDistribution:
             ensemble_distribution(g, s, 0, "primal")
         with pytest.raises(ValueError):
             ensemble_distribution(g, s, 2, "median")
+
+    def test_underflowing_atoms_are_dropped(self):
+        s = SampleSet([[0.8, 0.2], [0.6, 0.4]], [1.0, 1e-200])
+        ens = ensemble_distribution(NegativeEntropySimplex(2), s, 2, "dual")
+        # the multiset drawing the light atom twice has weight 1e-400
+        assert ens.n == 2
+        assert ens.weights[1] == pytest.approx(2e-200, rel=1e-12)
+
+    def test_large_ensemble_does_not_overflow(self):
+        # multinomial coefficients up to C(1100, 550) ~ 1e330 exceed the float range
+        ens = ensemble_distribution(SquaredEuclidean(1), SampleSet([[0.0], [1.0]]), 1100, "primal")
+        assert 1 < ens.n < 1101
+        assert primal_mean(ens)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDualMeanLaws:

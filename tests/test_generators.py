@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive definite"):
             Mahalanobis([[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("matrix", [[[np.inf, 0.0], [0.0, 1.0]], [[1e308, 0.0], [0.0, 1e308]]])
+    def test_rejects_non_finite(self, matrix):
+        # overflow in the symmetrization counts as non-finite too
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            Mahalanobis(matrix)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             Mahalanobis([[1.0, 0.5], [0.0, 1.0]])
