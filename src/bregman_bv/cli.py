@@ -101,36 +101,31 @@ def ingest(path, fmt: str | None = None, group_column: str | None = None, *,
     else:
         raise ValueError("format must be 'csv' or 'json'")
 
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
+    if not points:
         raise ValueError(f"{path}: no data rows")
-    if not np.all(np.isfinite(points)):
-        bad = sorted(set(np.argwhere(~np.isfinite(points))[:, 0].tolist()))
-        raise ValueError(f"{path}: non-finite coordinates in data rows {bad}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
-            bad = sorted(np.flatnonzero(~np.isfinite(weights) | (weights <= 0.0)).tolist())
-            raise ValueError(f"{path}: zero, negative or non-finite weights in data rows {bad}")
 
     from .dualspace import GroupedSampleSet, SampleSet, check_samples
 
-    flat = SampleSet(points, weights)
-    if generator is not None:
-        try:
+    try:
+        flat = SampleSet(points, weights)
+        if generator is not None:
             check_samples(generator, flat, allow_boundary=allow_boundary)
-        except DomainError as exc:
-            raise DomainError(f"{path}: {exc}") from None
+    except ValueError as exc:  # DomainError too: name the file, keep the type
+        raise type(exc)(f"{path}: {exc}") from None
     if groups is None:
         return flat
-    raw_weights = weights if weights is not None else np.full(points.shape[0], 1.0)
-    keys = []
-    for key in groups:
-        if key not in keys:
-            keys.append(key)
-    members = {k: [i for i, gk in enumerate(groups) if gk == k] for k in keys}
-    group_sets = {k: SampleSet(points[idx], raw_weights[idx]) for k, idx in members.items()}
-    group_weights = {k: float(np.sum(raw_weights[members[k]])) for k in keys}
+    members = {}  # group key -> data rows, keys in order of first appearance
+    for row, key in enumerate(groups):
+        members.setdefault(key, []).append(row)
+    raw_weights = np.ones(flat.n) if weights is None else np.asarray(weights, dtype=float)
+    with np.errstate(over="ignore"):
+        group_weights = [np.sum(raw_weights[rows]) for rows in members.values()]
+    if not np.all(np.isfinite(group_weights)):
+        # a raw group sum overflowed; sums of the normalized weights cannot
+        group_weights = [np.sum(flat.weights[rows]) for rows in members.values()]
+    group_sets = {
+        key: SampleSet(flat.points[rows], raw_weights[rows]) for key, rows in members.items()
+    }
     return GroupedSampleSet(group_sets, group_weights)
 
 
@@ -184,6 +179,10 @@ def _read_json(path, group_column):
     lengths = {len(p) for p in points}
     if len(lengths) > 1:
         raise ValueError(f"{path}: ragged point rows {sorted(lengths)}")
+    # exact types: a JSON true or false is a bool, which would pass as an int
+    bad = [i for i, p in enumerate(points) if not all(type(v) in (int, float) for v in p)]
+    if bad:
+        raise ValueError(f"{path}: non-numeric coordinates in data rows {bad}")
     weights = payload.get("weights")
     groups = payload.get("groups")
     for name, values in (("weights", weights), ("groups", groups)):
@@ -193,9 +192,15 @@ def _read_json(path, group_column):
         raise ValueError(f"{path}: weights length {len(weights)} != points length {len(points)}")
     if groups is not None and len(groups) != len(points):
         raise ValueError(f"{path}: groups length {len(groups)} != points length {len(points)}")
+    bad = [i for i, w in enumerate(weights or []) if type(w) not in (int, float)]
+    if bad:
+        raise ValueError(f"{path}: non-numeric weights in data rows {bad}")
     bad = [i for i, key in enumerate(groups or []) if isinstance(key, (list, dict))]
     if bad:
         raise ValueError(f"{path}: non-scalar group entries in data rows {bad}")
+    bad = [i for i, key in enumerate(groups or []) if key != key]
+    if bad:
+        raise ValueError(f"{path}: NaN group entries in data rows {bad}")
     return points, weights, groups
 
 
@@ -207,22 +212,32 @@ def emit_samples(s, out) -> None:
     """
     from .dualspace import GroupedSampleSet
 
-    own = isinstance(out, str)
-    fh = open(out, "w", encoding="utf-8", newline="") if own else out
-    try:
-        if isinstance(s, GroupedSampleSet):
-            dim = s.dim
-            fh.write(",".join([f"x{j}" for j in range(dim)] + ["weight", "group"]) + "\n")
+    grouped = isinstance(s, GroupedSampleSet)
+
+    def rows():
+        if grouped:
             for key, group in s.items():
                 gw = s.weight(key)
                 for i in range(group.n):
                     coords = [_fmt_float(float(v)) for v in group.points[i]]
-                    fh.write(",".join(coords + [_fmt_float(gw * float(group.weights[i])), str(key)]) + "\n")
+                    yield coords + [_fmt_float(gw * float(group.weights[i])), str(key)]
         else:
-            fh.write(",".join([f"x{j}" for j in range(s.dim)] + ["weight"]) + "\n")
             for i in range(s.n):
                 coords = [_fmt_float(float(v)) for v in s.points[i]]
-                fh.write(",".join(coords + [_fmt_float(float(s.weights[i]))]) + "\n")
+                yield coords + [_fmt_float(float(s.weights[i]))]
+
+    header = [f"x{j}" for j in range(s.dim)] + (["weight", "group"] if grouped else ["weight"])
+    _write_csv(out, header, rows())
+
+
+def _write_csv(out, header, rows) -> None:
+    """Write a header and rows of cells to a path (opened and closed here) or an open stream."""
+    own = isinstance(out, str)
+    fh = open(out, "w", encoding="utf-8", newline="") if own else out
+    try:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
     finally:
         if own:
             fh.close()
@@ -300,20 +315,15 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     if count == 0:
         raise ValueError("no grid point of the region lies inside the domain")
 
-    own = isinstance(out, str)
-    fh = open(out, "w", encoding="utf-8", newline="") if own else out
-    try:
-        fh.write(",".join([f"x{j}" for j in range(g.dim)] + ["div_from_center", "div_to_center"]) + "\n")
+    def rows():
         for i in range(pts.shape[0]):
             coords = [_fmt_float(float(v)) for v in pts[i]]
             if valued[i]:
-                cells = [_fmt_float(float(from_vals[i])), _fmt_float(float(to_vals[i]))]
+                yield coords + [_fmt_float(float(from_vals[i])), _fmt_float(float(to_vals[i]))]
             else:
-                cells = ["", ""]
-            fh.write(",".join(coords + cells) + "\n")
-    finally:
-        if own:
-            fh.close()
+                yield coords + ["", ""]
+
+    _write_csv(out, [f"x{j}" for j in range(g.dim)] + ["div_from_center", "div_to_center"], rows())
     return count
 
 
@@ -328,9 +338,10 @@ def _add_generator_args(p):
     p.add_argument("--matrix-file", help="CSV matrix for the mahalanobis generator")
 
 
-def _add_common_args(p):
+def _add_common_args(p, tolerance=1e-9):
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--tolerance", type=float, default=None, help="identity tolerance override")
+    p.add_argument("--tolerance", type=float, default=tolerance,
+                   help="tolerance of the identity or certification gate (default: %(default)g)")
 
 
 def _generator_from_args(args):
@@ -360,42 +371,32 @@ def _require_point(sample_set, what):
     return s.points[0]
 
 
-def _check_onehot_flag(args, g):
-    if getattr(args, "label_onehot", False) and not g.boundary_first_args:
-        raise ValueError("--label-onehot is only meaningful for the negative-entropy-simplex generator")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each cmd_*(args, g) returns (report, failure).  The report is a
+# dict rendered as JSON, or CSV text for field; failure is None or the message
+# of an identity or certification failure (exit 2).
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args, g):
     from .decomposition import decompose
 
-    g = _generator_from_args(args)
-    _check_onehot_flag(args, g)
     labels = _require_plain(
         ingest(args.labels, generator=g, allow_boundary=args.label_onehot), "labels"
     )
     predictions = _require_plain(ingest(args.predictions, generator=g), "predictions")
     report = decompose(g, labels, predictions)
-    _write_text(render_json(report.as_dict()) + "\n", args.out)
-    tol = 1e-9 if args.tolerance is None else args.tolerance
-    if not report.within(tol):
-        print(
+    failure = None
+    if not report.within(args.tolerance):
+        failure = (
             f"identity violated: residual {report.identity_residual:.6e} "
-            f"exceeds {tol:g} * max(1, loss)",
-            file=sys.stderr,
+            f"exceeds {args.tolerance:g} * max(1, loss)"
         )
-        return 2
-    return 0
+    return report.as_dict(), failure
 
 
-def cmd_total_variance(args) -> int:
+def cmd_total_variance(args, g):
     from .decomposition import total_variance
     from .dualspace import GroupedSampleSet
 
-    g = _generator_from_args(args)
-    _check_onehot_flag(args, g)
     path = args.labels or args.predictions
     if not path or (args.labels and args.predictions):
         raise ValueError("total-variance takes exactly one grouped file (--labels or --predictions)")
@@ -404,12 +405,10 @@ def cmd_total_variance(args) -> int:
     if not isinstance(grouped, GroupedSampleSet):
         raise ValueError("total-variance needs grouped input; pass --group-col or JSON groups")
     report = total_variance(g, grouped, args.mode)
-    _write_text(render_json(report.as_dict()) + "\n", args.out)
-    tol = 1e-9 if args.tolerance is None else args.tolerance
-    if abs(report.residual) > tol:
-        print(f"identity violated: residual {report.residual:.6e} exceeds {tol:g}", file=sys.stderr)
-        return 2
-    return 0
+    failure = None
+    if abs(report.residual) > args.tolerance:
+        failure = f"identity violated: residual {report.residual:.6e} exceeds {args.tolerance:g}"
+    return report.as_dict(), failure
 
 
 def _has_group_column(path, group_col) -> bool:
@@ -425,12 +424,10 @@ def _has_group_column(path, group_col) -> bool:
     return group_col in [h.strip() for h in header]
 
 
-def cmd_conditional(args) -> int:
+def cmd_conditional(args, g):
     from .decomposition import conditional_label, conditional_prediction
     from .dualspace import GroupedSampleSet
 
-    g = _generator_from_args(args)
-    _check_onehot_flag(args, g)
     labels = ingest(
         args.labels,
         group_column=args.group_col if _has_group_column(args.labels, args.group_col) else None,
@@ -452,20 +449,16 @@ def cmd_conditional(args) -> int:
     else:
         prediction = _require_point(predictions, "predictions")
         report = conditional_label(g, labels, prediction)
-    _write_text(render_json(report.as_dict()) + "\n", args.out)
-    tol = 1e-9 if args.tolerance is None else args.tolerance
     worst = max(abs(report.bias_residual), abs(report.variance_residual))
-    if worst > tol or report.gap < -1e-12:
-        print(f"identity violated: residual {worst:.6e} exceeds {tol:g}", file=sys.stderr)
-        return 2
-    return 0
+    failure = None
+    if worst > args.tolerance or report.gap < -1e-12:
+        failure = f"identity violated: residual {worst:.6e} exceeds {args.tolerance:g}"
+    return report.as_dict(), failure
 
 
-def cmd_ensemble(args) -> int:
+def cmd_ensemble(args, g):
     from .decomposition import ensemble_effect
 
-    g = _generator_from_args(args)
-    _check_onehot_flag(args, g)
     label = _require_point(
         ingest(args.labels, generator=g, allow_boundary=args.label_onehot), "labels"
     )
@@ -476,19 +469,17 @@ def cmd_ensemble(args) -> int:
         g, label, predictions, args.ensemble_n, args.mode,
         mc_draws=args.mc_draws, seed=args.seed,
     )
-    _write_text(render_json(report.as_dict()) + "\n", args.out)
     certified = (report.bias_preserved, report.variance_reduced)
+    failure = None
     if report.mode == "dual" and False in certified:
-        print(
+        failure = (
             f"dual ensembling certification failed: bias change {report.bias_change:.6e}, "
-            f"variance change {report.variance_change:.6e}",
-            file=sys.stderr,
+            f"variance change {report.variance_change:.6e}"
         )
-        return 2
-    return 0
+    return report.as_dict(), failure
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, g):
     from .dualspace import dual_mean, primal_mean
     from .oracle import (
         OracleConfig,
@@ -498,7 +489,6 @@ def cmd_check(args) -> int:
         expected_divergence_to,
     )
 
-    g = _generator_from_args(args)
     path = args.labels or args.predictions
     if not path or (args.labels and args.predictions):
         raise ValueError("check takes exactly one sample file (--labels or --predictions)")
@@ -516,10 +506,9 @@ def cmd_check(args) -> int:
         expected_divergence_to(g, s, analytic_dual),
         expected_divergence_to(g, s, oracle_dual),
     )
-    tol = 1e-5 if args.tolerance is None else args.tolerance
     report = {
         "grid_resolution": args.grid_resolution,
-        "tolerance": tol,
+        "tolerance": args.tolerance,
         "primal": {
             "analytic_objective": primal_objs[0],
             "oracle_objective": primal_objs[1],
@@ -535,16 +524,14 @@ def cmd_check(args) -> int:
             "oracle_point": [float(v) for v in oracle_dual],
         },
     }
-    _write_text(render_json(report) + "\n", args.out)
     worst = max(report["primal"]["objective_gap"], report["dual"]["objective_gap"])
-    if worst > tol:
-        print(f"oracle certification failed: objective gap {worst:.6e} exceeds {tol:g}", file=sys.stderr)
-        return 2
-    return 0
+    failure = None
+    if worst > args.tolerance:
+        failure = f"oracle certification failed: objective gap {worst:.6e} exceeds {args.tolerance:g}"
+    return report, failure
 
 
-def cmd_field(args) -> int:
-    g = _generator_from_args(args)
+def cmd_field(args, g):
     center = [float(v) for v in args.center.split(",")]
     if args.region == "box":
         if not args.lo or not args.hi:
@@ -560,8 +547,7 @@ def cmd_field(args) -> int:
         region = {"kind": "disk", "radius": args.radius, "center": center}
     buffer = io.StringIO()
     emit_divergence_field(g, center, region, args.resolution, buffer)
-    _write_text(buffer.getvalue(), args.out)
-    return 0
+    return buffer.getvalue(), None
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--predictions")
     p.add_argument("--grid-resolution", type=int, default=128)
-    _add_common_args(p)
+    _add_common_args(p, tolerance=1e-5)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("field", help="CSV grid of divergences to/from a center (figure data)")
@@ -661,7 +647,15 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse uses 2 for usage problems; those are input errors here
             return 0 if exc.code in (0, None) else 1
-        return args.func(args)
+        g = _generator_from_args(args)
+        if getattr(args, "label_onehot", False) and not g.boundary_first_args:
+            raise ValueError("--label-onehot is only meaningful for the negative-entropy-simplex generator")
+        report, failure = args.func(args, g)
+        _write_text(report if isinstance(report, str) else render_json(report) + "\n", args.out)
+        if failure is None:
+            return 0
+        print(failure, file=sys.stderr)
+        return 2
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ certifies it.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,24 @@ DUAL_ENSEMBLE_BIAS_TOL = 1e-10
 DUAL_ENSEMBLE_VARIANCE_SLACK = 1e-12
 
 
+class _Report:
+    """Base of the report dataclasses."""
+
+    def as_dict(self) -> dict:
+        """The fields in declaration order; arrays become float lists, nested reports dicts."""
+        out = {}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value = [float(v) for v in value]
+            elif isinstance(value, _Report):
+                value = value.as_dict()
+            out[field.name] = value
+        return out
+
+
 @dataclass(frozen=True, eq=False)
-class DecompositionReport:
+class DecompositionReport(_Report):
     """Named terms of the three-way split of an expected loss."""
 
     expected_loss: float
@@ -61,24 +78,13 @@ class DecompositionReport:
     central_label: np.ndarray
     central_prediction: np.ndarray
 
-    def as_dict(self) -> dict:
-        return {
-            "expected_loss": self.expected_loss,
-            "bayes_error": self.bayes_error,
-            "bias": self.bias,
-            "model_variance": self.model_variance,
-            "identity_residual": self.identity_residual,
-            "central_label": [float(v) for v in self.central_label],
-            "central_prediction": [float(v) for v in self.central_prediction],
-        }
-
     def within(self, tol: float = 1e-9) -> bool:
         """Whether the identity residual is inside the relative tolerance."""
         return abs(self.identity_residual) <= tol * max(1.0, abs(self.expected_loss))
 
 
 @dataclass(frozen=True, eq=False)
-class TotalVarianceReport:
+class TotalVarianceReport(_Report):
     """total = explained + unexplained (+ residual) for one variance notion."""
 
     total: float
@@ -87,18 +93,9 @@ class TotalVarianceReport:
     residual: float
     mode: str
 
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "explained": self.explained,
-            "unexplained": self.unexplained,
-            "residual": self.residual,
-            "mode": self.mode,
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class ConditionalReport:
+class ConditionalReport(_Report):
     """Conditional vs. unconditional bias and variance, with the gap term.
 
     The gap is nonnegative: conditioning on a single draw overestimates the
@@ -114,21 +111,9 @@ class ConditionalReport:
     bias_residual: float
     variance_residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "conditional_bias": self.conditional_bias,
-            "conditional_variance": self.conditional_variance,
-            "unconditional_bias": self.unconditional_bias,
-            "unconditional_variance": self.unconditional_variance,
-            "gap": self.gap,
-            "side": self.side,
-            "bias_residual": self.bias_residual,
-            "variance_residual": self.variance_residual,
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class EnsembleEffectReport:
+class EnsembleEffectReport(_Report):
     """Decomposition before and after replacing predictions by their n-fold average."""
 
     mode: str
@@ -139,18 +124,6 @@ class EnsembleEffectReport:
     variance_change: float
     bias_preserved: bool | None
     variance_reduced: bool | None
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "base": self.base.as_dict(),
-            "ensembled": self.ensembled.as_dict(),
-            "bias_change": self.bias_change,
-            "variance_change": self.variance_change,
-            "bias_preserved": self.bias_preserved,
-            "variance_reduced": self.variance_reduced,
-        }
 
 
 def decompose(g: ConvexGenerator, labels: SampleSet, predictions: SampleSet) -> DecompositionReport:

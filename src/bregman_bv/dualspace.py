@@ -34,6 +34,27 @@ __all__ = [
 ENSEMBLE_ATOM_CAP = 1_000_000
 
 
+def _normalized(weights, n: int, what: str):
+    """Validate ``n`` weights, one per entry of ``what``, and scale them to sum to one.
+
+    Zero, negative and non-finite weights are rejected by index.  The weights
+    are divided by their maximum first only when their plain sum overflows,
+    so ordinary inputs keep the arithmetic ``weights / sum(weights)``.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError(f"weights must give one value for each of the {n} {what}")
+    bad = np.flatnonzero(~np.isfinite(weights) | (weights <= 0.0)).tolist()
+    if bad:
+        raise ValueError(f"zero, negative or non-finite weights in {what} {bad}")
+    with np.errstate(over="ignore"):
+        total = np.sum(weights)
+    if not np.isfinite(total):
+        weights = weights / np.max(weights)
+        total = np.sum(weights)
+    return weights / total
+
+
 class SampleSet:
     """Weighted finite collection of points: an empirical distribution.
 
@@ -45,17 +66,13 @@ class SampleSet:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
             raise ValueError("points must form a nonempty (n, d) array")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
+        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1)).tolist()
+        if bad:
+            raise ValueError(f"non-finite coordinates in data rows {bad}")
         if weights is None:
             weights = np.full(points.shape[0], 1.0 / points.shape[0])
         else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (points.shape[0],):
-                raise ValueError("weights must be one value per point")
-            if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-                raise ValueError("weights must be positive and finite")
-            weights = weights / np.sum(weights)
+            weights = _normalized(weights, points.shape[0], "data rows")
         self.points = points
         self.weights = weights
         self.points.setflags(write=False)
@@ -95,14 +112,8 @@ class GroupedSampleSet:
             weights = np.full(len(keys), 1.0 / len(keys))
         else:
             if isinstance(group_weights, Mapping):
-                weights = np.asarray([group_weights[k] for k in keys], dtype=float)
-            else:
-                weights = np.asarray(group_weights, dtype=float)
-            if weights.shape != (len(keys),):
-                raise ValueError("group weights must give one value per group")
-            if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-                raise ValueError("group weights must be positive and finite")
-            weights = weights / np.sum(weights)
+                group_weights = [group_weights[k] for k in keys]
+            weights = _normalized(group_weights, len(keys), "groups")
         self.group_weights = dict(zip(keys, weights))
 
     @property
@@ -241,6 +252,26 @@ def dual_average(g: ConvexGenerator, points):
     return _DUAL.average(g, points)
 
 
+def _compositions(parts: int, total: int):
+    """Every way to write ``total`` as an ordered sum of ``parts`` nonnegative integers.
+
+    Stars and bars: one int64 row per choice of ``parts - 1`` bar positions
+    among ``total + parts - 1`` slots, in lexicographic order of the bar
+    positions (so the last row is ``[total, 0, ..., 0]``).
+    """
+    slots = total + parts - 1
+    rows = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    bounds = np.column_stack(
+        [np.full(rows, -1, dtype=np.int64), bars, np.full(rows, slots, dtype=np.int64)]
+    )
+    return np.diff(bounds, axis=1) - 1
+
+
 def ensemble_distribution(
     g: ConvexGenerator,
     s: SampleSet,
@@ -279,11 +310,10 @@ def ensemble_distribution(
             f"exact ensembling needs {total} atoms (> cap {cap}); "
             "pass mc_draws and a seed for the Monte Carlo fallback"
         )
-    counts = np.zeros((total, s.n))
-    for row, combo in enumerate(itertools.combinations_with_replacement(range(s.n), n)):
-        counts[row] = np.bincount(combo, minlength=s.n)
+    # reversed, the rows follow itertools.combinations_with_replacement order
+    counts = _compositions(s.n, n)[::-1]
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    log_weights = log_fact[n] - np.sum(log_fact[counts.astype(int)], axis=1) + counts @ np.log(s.weights)
+    log_weights = log_fact[n] - np.sum(log_fact[counts], axis=1) + counts @ np.log(s.weights)
     weights = np.exp(log_weights - np.max(log_weights))
     kept = weights > 0.0
     return SampleSet(side.from_coords(g, (counts @ coords)[kept] / n), weights[kept])

@@ -9,12 +9,11 @@ for desk-scale certification (dimension <= 4).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dualspace import SampleSet
+from .dualspace import SampleSet, _compositions
 from .errors import DomainError
 from .generators import ConvexGenerator, FullSpace, OpenBox, OpenSimplex
 
@@ -149,14 +148,7 @@ def _best_on_box_grid(objective, lo, hi, resolution):
 
 def _simplex_lattice(dim: int, resolution: int):
     """Interior barycentric lattice: compositions of `resolution` into `dim` positive parts."""
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(1, resolution), dim - 1)),
-        dtype=np.int64,
-    ).reshape(-1, dim - 1)
-    bounds = np.column_stack(
-        [np.zeros(len(cuts), dtype=np.int64), cuts, np.full(len(cuts), resolution, dtype=np.int64)]
-    )
-    return np.diff(bounds, axis=1) / float(resolution)
+    return (_compositions(dim, resolution - dim) + 1) / float(resolution)
 
 
 def _best_on_simplex_grid(objective, dim, resolution):

@@ -1,5 +1,6 @@
 """Ingestion, emission, JSON rendering and the subcommand/exit-code contract."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,14 @@ class TestIngest:
         # JSON groups come from the file itself, so the file is never opened here
         assert _has_group_column(str(tmp_path / "absent.json"), "z") is False
         assert _has_group_column(fx("grouped_euclid.csv"), "z") is True
+
+    def test_overflowing_group_weights(self, tmp_path):
+        # each raw group sum is inf; the group weights come from the normalized rows
+        path = tmp_path / "huge.csv"
+        path.write_text("x0,x1,weight,z\n1,2,1e308,a\n3,4,1e308,a\n1,2,1e308,b\n3,4,1e308,b\n")
+        grouped = ingest(str(path), group_column="z")
+        assert [grouped.weight(k) for k in ("a", "b")] == [0.5, 0.5]
+        assert grouped.groups["a"].weights.tolist() == [0.5, 0.5]
 
     def test_ragged_json(self, tmp_path):
         path = tmp_path / "r.json"
@@ -373,6 +382,48 @@ class TestExitCodes:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: non-scalar group entries in data rows [0, 1]\n"
+
+    @pytest.mark.parametrize("payload, message", [
+        *[pytest.param('{"points": [[0.5, 0.5], [%s, 0.4]]}' % cell,
+                       "non-numeric coordinates in data rows [1]", id=f"points-{cell}")
+          for cell in ("{}", "[]", "true", '"1"', "null")],
+        *[pytest.param('{"points": [[0.5, 0.5], [0.6, 0.4]], "weights": [1, %s]}' % cell,
+                       "non-numeric weights in data rows [1]", id=f"weights-{cell}")
+          for cell in ("{}", "[]", "true", '"1"', "null")],
+        pytest.param('{"points": [[0.5, 0.5], [0.6, 0.4], [0.7, 0.3]], "groups": [NaN, NaN, "a"]}',
+                     "NaN group entries in data rows [0, 1]", id="nan-groups"),
+        pytest.param('{"points": [[], []]}', "points must form a nonempty (n, d) array", id="empty-rows"),
+    ])
+    def test_malformed_json_is_input_error(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        code = main([
+            "decompose", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", str(path), "--predictions", fx("preds_euclid.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_overflowing_weight_sums_give_true_reports(self, tmp_path, capsys):
+        flat = tmp_path / "huge.csv"
+        flat.write_text("x0,x1,weight\n1,2,1e308\n3,4,1e308\n")
+        out = tmp_path / "dec.json"
+        assert main([
+            "decompose", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", str(flat), "--predictions", str(flat), "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["expected_loss"] == 4.0
+        grouped = tmp_path / "huge_grouped.csv"
+        grouped.write_text("x0,x1,weight,z\n1,2,1e308,a\n3,4,1e308,a\n1,2,1e308,b\n5,6,1e308,b\n")
+        out = tmp_path / "tv.json"
+        assert main([
+            "total-variance", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", str(grouped), "--group-col", "z", "--mode", "primal", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["total"] == pytest.approx(5.5, rel=1e-15)
+        assert report["unexplained"] == pytest.approx(5.0, rel=1e-15)
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["decompose", "--generator", "squared-euclidean"]) == 1

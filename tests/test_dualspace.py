@@ -13,6 +13,7 @@ from bregman_bv import (
     SampleSet,
     SquaredEuclidean,
     check_samples,
+    decompose,
     dual_average,
     dual_mean,
     dual_variance,
@@ -59,6 +60,18 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet([[1.0, 0.0]], [0.5, 0.5])
 
+    def test_messages_name_rows(self):
+        with pytest.raises(ValueError, match=r"^non-finite coordinates in data rows \[1, 2\]$"):
+            SampleSet([[0.0, 1.0], [np.inf, 0.0], [0.0, np.nan]])
+        with pytest.raises(ValueError, match=r"^zero, negative or non-finite weights in data rows \[0, 2\]$"):
+            SampleSet([[0.0], [1.0], [2.0]], [0.0, 1.0, np.inf])
+
+    def test_overflowing_weight_sum(self):
+        # the plain sum is inf, which would turn every weight into 0
+        s = SampleSet([[1.0, 2.0], [3.0, 4.0]], [1e308, 1e308])
+        assert s.weights.tolist() == [0.5, 0.5]
+        assert decompose(SquaredEuclidean(2), s, s).expected_loss == pytest.approx(4.0, rel=1e-15)
+
     def test_immutable(self):
         s = SampleSet([[1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -79,8 +92,15 @@ class TestGroupedSampleSet:
             GroupedSampleSet({})
         with pytest.raises(ValueError):
             GroupedSampleSet({"a": SampleSet([[1.0]]), "b": SampleSet([[1.0, 2.0]])})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^zero, negative or non-finite weights in groups \[0\]$"):
             GroupedSampleSet({"a": SampleSet([[1.0]])}, [0.0])
+
+    def test_overflowing_group_weight_sum(self):
+        grouped = GroupedSampleSet(
+            {"a": SampleSet([[0.0]]), "b": SampleSet([[4.0]])}, {"a": 1e308, "b": 1.5e308}
+        )
+        assert grouped.weight("a") == pytest.approx(0.4, rel=1e-15)
+        assert grouped.weight("b") == pytest.approx(0.6, rel=1e-15)
 
 
 class TestCheckSamples:

@@ -1,5 +1,7 @@
 """Brute-force minimizers vs. analytic means; finite-difference gradients."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from bregman_bv import (
     fd_gradient,
     primal_mean,
 )
+from bregman_bv.oracle import _simplex_lattice
 from conftest import fig_2b_generator, random_interior_points, random_sample_set
 
 
@@ -34,6 +37,17 @@ class TestConfig:
             OracleConfig(fd_step=0.0)
         with pytest.raises(ValueError):
             OracleConfig(descent_tolerance=-1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_simplex_lattice_matches_cut_enumeration(dim):
+    # compositions of the resolution into positive parts, from the cut positions
+    resolution = 9
+    expected = [
+        np.diff((0,) + cuts + (resolution,)) / resolution
+        for cuts in itertools.combinations(range(1, resolution), dim - 1)
+    ]
+    assert np.array_equal(_simplex_lattice(dim, resolution), np.array(expected))
 
 
 class TestFdGradient:
