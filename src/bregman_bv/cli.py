@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 
@@ -73,12 +74,12 @@ def _write_text(text: str, out_path: str | None):
 # ---------------------------------------------------------------------------
 # ingestion
 
-def ingest(path, fmt: str | None = None, group_column: str | None = None, *,
-           generator=None, allow_boundary: bool = False):
+def ingest(path, group_column: str | None = None, *, generator=None, allow_boundary: bool = False):
     """Read a sample file into a SampleSet or, with groups, a GroupedSampleSet.
 
-    CSV files need a header with coordinate columns ``x0..x{d-1}`` and may
-    carry ``weight`` and group columns.  JSON files hold
+    The format follows the ``.csv`` or ``.json`` extension.  CSV files need
+    a header with coordinate columns ``x0..x{d-1}`` and may carry ``weight``
+    and group columns.  JSON files hold
     ``{"points": [[...]], "weights": [...], "groups": [...]}`` with the last
     two optional.  Weights default to uniform and are normalized.  When a
     generator is given, every point is validated against its domain and
@@ -86,20 +87,13 @@ def ingest(path, fmt: str | None = None, group_column: str | None = None, *,
     """
     import numpy as np
 
-    if fmt is None:
-        lowered = str(path).lower()
-        if lowered.endswith(".csv"):
-            fmt = "csv"
-        elif lowered.endswith(".json"):
-            fmt = "json"
-        else:
-            raise ValueError(f"cannot infer format of {path!r}; expected a .csv or .json file")
-    if fmt == "csv":
+    lowered = str(path).lower()
+    if lowered.endswith(".csv"):
         points, weights, groups = _read_csv(path, group_column)
-    elif fmt == "json":
+    elif lowered.endswith(".json"):
         points, weights, groups = _read_json(path, group_column)
     else:
-        raise ValueError("format must be 'csv' or 'json'")
+        raise ValueError(f"cannot infer format of {path!r}; expected a .csv or .json file")
 
     if not points:
         raise ValueError(f"{path}: no data rows")
@@ -170,7 +164,10 @@ def _read_json(path, group_column):
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh, parse_int=_json_int)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict) or "points" not in payload:
         raise ValueError(f"{path}: JSON input must be an object with a 'points' array")
     points = payload["points"]
@@ -201,7 +198,31 @@ def _read_json(path, group_column):
     bad = [i for i, key in enumerate(groups or []) if key != key]
     if bad:
         raise ValueError(f"{path}: NaN group entries in data rows {bad}")
+    # distinct keys that overflowed to the same inf would merge their groups
+    bad = [i for i, key in enumerate(groups or []) if key in (math.inf, -math.inf)]
+    if bad:
+        raise ValueError(f"{path}: infinite group entries in data rows {bad}")
+    # a coordinate or weight beyond the float range becomes a signed inf,
+    # which the non-finite checks then report by row
+    points = [[_json_float(v) for v in p] for p in points]
+    if weights is not None:
+        weights = [_json_float(w) for w in weights]
     return points, weights, groups
+
+
+def _json_int(literal):
+    """JSON integers stay exact; one too long for ``int()`` is far beyond the float range."""
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
+
+
+def _json_float(value):
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def emit_samples(s, out) -> None:
@@ -338,9 +359,19 @@ def _add_generator_args(p):
     p.add_argument("--matrix-file", help="CSV matrix for the mahalanobis generator")
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value < float("inf"):  # false for NaN too
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
 def _add_common_args(p, tolerance=1e-9):
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--tolerance", type=float, default=tolerance,
+    p.add_argument("--tolerance", type=_tolerance, default=tolerance,
                    help="tolerance of the identity or certification gate (default: %(default)g)")
 
 
@@ -376,6 +407,13 @@ def _require_point(sample_set, what):
 # dict rendered as JSON, or CSV text for field; failure is None or the message
 # of an identity or certification failure (exit 2).
 
+def _identity_failure(report, tol, what="residual"):
+    """Failure message of a decomposition whose identity misses ``tol * max(1, loss)``."""
+    if report.within(tol):
+        return None
+    return f"identity violated: {what} {report.identity_residual:.6e} exceeds {tol:g} * max(1, loss)"
+
+
 def cmd_decompose(args, g):
     from .decomposition import decompose
 
@@ -384,13 +422,7 @@ def cmd_decompose(args, g):
     )
     predictions = _require_plain(ingest(args.predictions, generator=g), "predictions")
     report = decompose(g, labels, predictions)
-    failure = None
-    if not report.within(args.tolerance):
-        failure = (
-            f"identity violated: residual {report.identity_residual:.6e} "
-            f"exceeds {args.tolerance:g} * max(1, loss)"
-        )
-    return report.as_dict(), failure
+    return report.as_dict(), _identity_failure(report, args.tolerance)
 
 
 def cmd_total_variance(args, g):
@@ -469,14 +501,16 @@ def cmd_ensemble(args, g):
         g, label, predictions, args.ensemble_n, args.mode,
         mc_draws=args.mc_draws, seed=args.seed,
     )
-    certified = (report.bias_preserved, report.variance_reduced)
-    failure = None
-    if report.mode == "dual" and False in certified:
-        failure = (
+    failures = [
+        _identity_failure(part, args.tolerance, f"{name} residual")
+        for name, part in (("base", report.base), ("ensembled", report.ensembled))
+    ]
+    if report.mode == "dual" and False in (report.bias_preserved, report.variance_reduced):
+        failures.append(
             f"dual ensembling certification failed: bias change {report.bias_change:.6e}, "
             f"variance change {report.variance_change:.6e}"
         )
-    return report.as_dict(), failure
+    return report.as_dict(), "\n".join(f for f in failures if f) or None
 
 
 def cmd_check(args, g):
@@ -494,36 +528,22 @@ def cmd_check(args, g):
         raise ValueError("check takes exactly one sample file (--labels or --predictions)")
     s = _require_plain(ingest(path, generator=g), "samples")
     cfg = OracleConfig(grid_resolution=args.grid_resolution)
-    analytic_primal = primal_mean(s)
-    analytic_dual = dual_mean(g, s)
-    oracle_primal = argmin_from(g, s, cfg)
-    oracle_dual = argmin_to(g, s, cfg)
-    primal_objs = (
-        expected_divergence_from(g, s, analytic_primal),
-        expected_divergence_from(g, s, oracle_primal),
-    )
-    dual_objs = (
-        expected_divergence_to(g, s, analytic_dual),
-        expected_divergence_to(g, s, oracle_dual),
-    )
-    report = {
-        "grid_resolution": args.grid_resolution,
-        "tolerance": args.tolerance,
-        "primal": {
-            "analytic_objective": primal_objs[0],
-            "oracle_objective": primal_objs[1],
-            "objective_gap": abs(primal_objs[0] - primal_objs[1]),
-            "analytic_point": [float(v) for v in analytic_primal],
-            "oracle_point": [float(v) for v in oracle_primal],
-        },
-        "dual": {
-            "analytic_objective": dual_objs[0],
-            "oracle_objective": dual_objs[1],
-            "objective_gap": abs(dual_objs[0] - dual_objs[1]),
-            "analytic_point": [float(v) for v in analytic_dual],
-            "oracle_point": [float(v) for v in oracle_dual],
-        },
-    }
+    report = {"grid_resolution": args.grid_resolution, "tolerance": args.tolerance}
+    # the label mean minimizes E D(Y, z), the dual mean E D(z, X)
+    for side, analytic, argmin, objective in (
+        ("primal", primal_mean(s), argmin_from, expected_divergence_from),
+        ("dual", dual_mean(g, s), argmin_to, expected_divergence_to),
+    ):
+        found = argmin(g, s, cfg)
+        analytic_objective = objective(g, s, analytic)
+        oracle_objective = objective(g, s, found)
+        report[side] = {
+            "analytic_objective": analytic_objective,
+            "oracle_objective": oracle_objective,
+            "objective_gap": abs(analytic_objective - oracle_objective),
+            "analytic_point": [float(v) for v in analytic],
+            "oracle_point": [float(v) for v in found],
+        }
     worst = max(report["primal"]["objective_gap"], report["dual"]["objective_gap"])
     failure = None
     if worst > args.tolerance:

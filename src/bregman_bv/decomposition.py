@@ -240,7 +240,6 @@ def ensemble_effect(
     n: int,
     mode: str,
     *,
-    cap: int | None = None,
     mc_draws: int | None = None,
     seed: int | None = None,
 ) -> EnsembleEffectReport:
@@ -255,10 +254,7 @@ def ensemble_effect(
     label = np.asarray(label, dtype=float)
     labels = SampleSet(label.reshape(1, -1))
     base = decompose(g, labels, predictions)
-    kwargs = {}
-    if cap is not None:
-        kwargs["cap"] = cap
-    ensembled_set = ensemble_distribution(g, predictions, n, mode, mc_draws=mc_draws, seed=seed, **kwargs)
+    ensembled_set = ensemble_distribution(g, predictions, n, mode, mc_draws=mc_draws, seed=seed)
     ensembled = decompose(g, labels, ensembled_set)
     bias_change = ensembled.bias - base.bias
     variance_change = ensembled.model_variance - base.model_variance

@@ -155,10 +155,6 @@ class ConvexGenerator:
     def dim(self) -> int:
         return self.domain.dim
 
-    @property
-    def params(self) -> dict:
-        return {}
-
     def value(self, x):
         raise NotImplementedError
 
@@ -218,10 +214,6 @@ class Mahalanobis(ConvexGenerator):
     @property
     def matrix(self):
         return self._matrix
-
-    @property
-    def params(self) -> dict:
-        return {"matrix": self._matrix}
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -285,18 +277,6 @@ class Piece(NamedTuple):
     upper: float
 
 
-def _as_piece(spec) -> Piece:
-    if isinstance(spec, Piece):
-        return spec
-    spec = tuple(spec)
-    if len(spec) == 4:
-        return Piece(spec[0], spec[1], float(spec[2]), float(spec[3]))
-    if len(spec) == 3:
-        lo, hi = spec[2]
-        return Piece(spec[0], spec[1], float(lo), float(hi))
-    raise ValueError("a piece is (fun, deriv, lower, upper) or (fun, deriv, (lower, upper))")
-
-
 def _bisect_increasing(fn, target, lo, hi, *, xtol=1e-12, max_iter=200):
     """Invert a strictly increasing map on [lo, hi] for an array of targets."""
     target = np.asarray(target, dtype=float)
@@ -321,7 +301,8 @@ def _bisect_increasing(fn, target, lo, hi, *, xtol=1e-12, max_iter=200):
 class SeparableCustom(ConvexGenerator):
     """Sum of user-supplied one-dimensional convex pieces on an open box.
 
-    Convexity of each piece is probed at construction: the supplied
+    Each piece is a :class:`Piece` or a ``(fun, deriv, lower, upper)``
+    tuple.  Convexity of each piece is probed at construction: the supplied
     derivative is sampled across the interval and must be finite and
     strictly increasing.  ``grad_conj`` inverts each derivative by
     bracketing bisection (absolute tolerance 1e-12, at most 200 iterations),
@@ -331,11 +312,11 @@ class SeparableCustom(ConvexGenerator):
     _PROBE_POINTS = 33
     _BRACKET_INSET = 1e-13
 
-    def __init__(self, pieces, name: str = "separable-custom"):
-        pieces = [_as_piece(p) for p in pieces]
+    def __init__(self, pieces):
+        pieces = [Piece(f, fp, float(lo), float(hi)) for f, fp, lo, hi in pieces]
         if not pieces:
             raise ValueError("separable generator needs at least one piece")
-        self.name = name
+        self.name = "separable-custom"
         self.domain = OpenBox([p.lower for p in pieces], [p.upper for p in pieces])
         for i, piece in enumerate(pieces):
             width = piece.upper - piece.lower
@@ -351,10 +332,6 @@ class SeparableCustom(ConvexGenerator):
     @property
     def pieces(self) -> tuple:
         return self._pieces
-
-    @property
-    def params(self) -> dict:
-        return {"pieces": self._pieces}
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

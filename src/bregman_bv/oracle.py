@@ -9,6 +9,8 @@ for desk-scale certification (dimension <= 4).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,29 +28,26 @@ __all__ = [
     "expected_divergence_from",
 ]
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # most grid rows per objective call; larger blocks run slower out of cache
 _SIMPLEX_FLOOR = 1e-12
+_DESCENT_TOLERANCE = 1e-10  # refinement stops once a pass gains less than this
+_MAX_PASSES = 200
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Knobs of the grid-search oracles.
+    """Knob of the grid-search oracles.
 
     ``grid_resolution`` counts grid points per axis (lattice resolution on
-    the simplex); refinement stops once a full pass improves the objective
-    by less than ``descent_tolerance`` or after ``max_iters`` passes.
+    the simplex).
     """
 
     grid_resolution: int = 128
-    descent_tolerance: float = 1e-10
-    fd_step: float = 1e-6
-    max_iters: int = 200
 
     def __post_init__(self):
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
-        if self.descent_tolerance <= 0 or self.fd_step <= 0 or self.max_iters <= 0:
-            raise ValueError("oracle configuration values must be positive")
 
 
 def _objective_to(g: ConvexGenerator, s: SampleSet):
@@ -111,58 +110,49 @@ def _box_bounds(g: ConvexGenerator, s: SampleSet):
 
 
 def _box_grid_blocks(axes):
-    """Yield the grid as (m, d) blocks, reusing one buffer per first-axis slab."""
-    d = len(axes)
-    if d == 1:
-        yield axes[0][:, None]
-        return
-    tail_size = int(np.prod([a.size for a in axes[1:]]))
-    if tail_size <= _CHUNK:
-        tail = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=-1)
-        block = np.empty((tail_size, d))
-        block[:, 1:] = tail
-        for v in axes[0]:
-            block[:, 0] = v
+    """Yield the grid in C order as (m, d) blocks of at most ``_CHUNK`` rows.
+
+    Every block holds the whole grid of the most trailing axes that fits in
+    ``_CHUNK`` rows, once for each value in a run of the axis before them; the
+    axes before that are fixed one combination at a time.  One buffer serves
+    every block.
+    """
+    sizes = [a.size for a in axes]
+    split = 0
+    while math.prod(sizes[split + 1 :]) > _CHUNK:
+        split += 1
+    tail = math.prod(sizes[split + 1 :])
+    run = min(sizes[split], _CHUNK // tail)
+    buffer = np.empty((run * tail, len(axes)))
+    for j, m in enumerate(np.meshgrid(*axes[split + 1 :], indexing="ij"), start=split + 1):
+        buffer[:, j] = np.tile(m.ravel(), run)
+    for lead in itertools.product(*axes[:split]):
+        buffer[:, :split] = lead
+        for start in range(0, sizes[split], run):
+            values = axes[split][start : start + run]
+            block = buffer[: values.size * tail]
+            block[:, split] = np.repeat(values, tail)
             yield block
-    else:
-        shape = tuple(a.size for a in axes)
-        total = int(np.prod(shape))
-        for start in range(0, total, _CHUNK):
-            flat = np.arange(start, min(start + _CHUNK, total))
-            multi = np.unravel_index(flat, shape)
-            yield np.column_stack([axes[j][multi[j]] for j in range(d)])
 
 
-def _best_on_box_grid(objective, lo, hi, resolution):
-    axes = [np.linspace(lo[j], hi[j], resolution) for j in range(lo.size)]
+def _best_on_grid(objective, blocks):
+    """First grid point, in block order, with the lowest objective value."""
     best_val = np.inf
     best_point = None
-    for pts in _box_grid_blocks(axes):
+    for pts in blocks:
         vals = objective(pts)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])
             best_point = pts[k].copy()
+    if best_point is None:
+        raise DomainError("no grid point with a finite objective value")
     return best_point, best_val
 
 
 def _simplex_lattice(dim: int, resolution: int):
     """Interior barycentric lattice: compositions of `resolution` into `dim` positive parts."""
     return (_compositions(dim, resolution - dim) + 1) / float(resolution)
-
-
-def _best_on_simplex_grid(objective, dim, resolution):
-    pts = _simplex_lattice(dim, resolution)
-    best_val = np.inf
-    best_point = None
-    for start in range(0, len(pts), _CHUNK):
-        chunk = pts[start : start + _CHUNK]
-        vals = objective(chunk)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_point = chunk[k]
-    return best_point, best_val
 
 
 def _golden_section(fun, a, b, xtol=1e-13, max_iter=120):
@@ -185,70 +175,59 @@ def _golden_section(fun, a, b, xtol=1e-13, max_iter=120):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _refine_box(objective, z, best, lo, hi, step, cfg: OracleConfig):
+def _refine(objective, z, best, moves, lo, hi, step):
+    """Golden-section passes over ``moves`` until a pass gains less than ``_DESCENT_TOLERANCE``.
+
+    A move ``(j, j)`` sets coordinate j within one grid step of its value and
+    inside ``[lo, hi]`` (box grids).  A move ``(i, j)``, ``i < j``, shifts mass
+    t, ``|t| <= step[i]``, from coordinate j to coordinate i and keeps both
+    above ``_SIMPLEX_FLOOR`` (simplex lattice).
+    """
     z = np.array(z, dtype=float)
-    d = z.size
 
-    for _ in range(cfg.max_iters):
+    def moved(i, j, t):
+        p = z.copy()
+        if i == j:
+            p[j] = t
+        else:
+            p[i] += t
+            p[j] -= t
+        return p
+
+    for _ in range(_MAX_PASSES):
         before = best
-        for j in range(d):
-            a = max(lo[j], z[j] - step[j])
-            b = min(hi[j], z[j] + step[j])
-
-            def line(t, j=j):
-                trial = z.copy()
-                trial[j] = t
-                return float(objective(trial[None, :])[0])
-
-            t, val = _golden_section(line, a, b)
-            if val < best:
-                best = val
-                z[j] = t
-        if before - best < cfg.descent_tolerance:
-            break
-    return z, best
-
-
-def _refine_simplex(objective, z, best, step, cfg: OracleConfig):
-    z = np.array(z, dtype=float)
-    d = z.size
-
-    for _ in range(cfg.max_iters):
-        before = best
-        for i in range(d):
-            for j in range(i + 1, d):
-                a = max(-step, _SIMPLEX_FLOOR - z[i])
-                b = min(step, z[j] - _SIMPLEX_FLOOR)
+        for i, j in moves:
+            if i == j:
+                a, b = max(lo[j], z[j] - step[j]), min(hi[j], z[j] + step[j])
+            else:
+                a, b = max(-step[i], _SIMPLEX_FLOOR - z[i]), min(step[i], z[j] - _SIMPLEX_FLOOR)
                 if a >= b:
                     continue
-
-                def line(t, i=i, j=j):
-                    trial = z.copy()
-                    trial[i] += t
-                    trial[j] -= t
-                    return float(objective(trial[None, :])[0])
-
-                t, val = _golden_section(line, a, b)
-                if val < best:
-                    best = val
-                    z[i] += t
-                    z[j] -= t
-        if before - best < cfg.descent_tolerance:
+            t, val = _golden_section(lambda t: float(objective(moved(i, j, t)[None, :])[0]), a, b)
+            if val < best:
+                best = val
+                z = moved(i, j, t)
+        if before - best < _DESCENT_TOLERANCE:
             break
-    return z, best
+    return z
 
 
 def _argmin(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, objective):
+    r = cfg.grid_resolution
+    d = g.dim
     if isinstance(g.domain, OpenSimplex):
-        z, best = _best_on_simplex_grid(objective, g.dim, cfg.grid_resolution)
-        step = 1.0 / cfg.grid_resolution
-        z, _ = _refine_simplex(objective, z, best, step, cfg)
-        return z
-    lo, hi = _box_bounds(g, s)
-    z, best = _best_on_box_grid(objective, lo, hi, cfg.grid_resolution)
-    step = (hi - lo) / (cfg.grid_resolution - 1)
-    z, _ = _refine_box(objective, z, best, lo, hi, step, cfg)
-    return z
+        pts = _simplex_lattice(d, r)
+        blocks = (pts[start : start + _CHUNK] for start in range(0, len(pts), _CHUNK))
+        moves = list(itertools.combinations(range(d), 2))
+        lo = hi = None
+        step = np.full(d, 1.0 / r)
+    else:
+        lo, hi = _box_bounds(g, s)
+        blocks = _box_grid_blocks([np.linspace(lo[j], hi[j], r) for j in range(d)])
+        moves = [(j, j) for j in range(d)]
+        step = (hi - lo) / (r - 1)
+    z, best = _best_on_grid(objective, blocks)
+    return _refine(objective, z, best, moves, lo, hi, step)
 
 
 def argmin_to(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig | None = None):
@@ -267,17 +246,16 @@ def argmin_from(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig | None = Non
     return _argmin(g, s, cfg, _objective_from(g, s))
 
 
-def fd_gradient(g: ConvexGenerator, x, cfg: OracleConfig | None = None):
-    """Central finite differences of the generator value at an interior point.
+def fd_gradient(g: ConvexGenerator, x):
+    """Central finite differences (step ``_FD_STEP``) of the generator value at an interior point.
 
     Requires the point to sit at least 10 steps away from the domain
     boundary.  On the simplex the probes leave the constraint plane, so the
     result approximates the gradient of the unconstrained extension; compare
     against ``grad`` through coordinate differences (the simplex gauge).
     """
-    cfg = cfg or OracleConfig()
     x = np.asarray(x, dtype=float)
-    h = cfg.fd_step
+    h = _FD_STEP
     dom = g.domain
     if isinstance(dom, OpenBox):
         margin = min(np.min(x - dom.lowers), np.min(dom.uppers - x))

@@ -1,6 +1,7 @@
 """Ingestion, emission, JSON rendering and the subcommand/exit-code contract."""
 
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,30 @@ def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def _readme_argv():
+    """The README's CLI examples by subcommand, check on a coarse grid."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    argv = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("bregman-bv "):
+            args = [fx(a[len("tests/fixtures/"):]) if a.startswith("tests/fixtures/") else a
+                    for a in shlex.split(line)[1:]]
+            argv[args[0]] = args
+    argv["check"][argv["check"].index("--grid-resolution") + 1] = "8"
+    return argv
+
+
+README_ARGV = _readme_argv()
+SUBCOMMANDS = ["decompose", "total-variance", "conditional", "ensemble", "check", "field"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_readme_example_exits_zero(capsys, command):
+    assert main(README_ARGV[command]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestIngest:
     def test_uniform_pair(self):
         s = ingest(fx("preds_pair.csv"))
@@ -43,6 +68,15 @@ class TestIngest:
         assert sorted(grouped.keys()) == ["a", "b"]
         assert grouped.weight("a") == pytest.approx(0.5)
         assert grouped.groups["a"].n == 2
+
+    def test_json_group_keys_stay_exact(self, tmp_path):
+        # keys that one float cannot tell apart: above 2**53 and beyond the float range
+        keys = [2**53 + 1, 2**53, 10**400, 10**400 + 1]
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps({"points": [[0.1 * k, 1.0] for k in range(4)], "groups": keys}))
+        grouped = ingest(path)
+        assert list(grouped.keys()) == keys
+        assert all(grouped.groups[key].n == 1 for key in keys)
 
     def test_csv_group_column(self):
         grouped = ingest(fx("grouped_euclid.csv"), group_column="z")
@@ -443,6 +477,66 @@ class TestExitCodes:
             "--mode", "primal", "--ensemble-n", "2", "--mc-draws", "16",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("payload, message", [
+        pytest.param('{"points": [[0.5, 0.5], [1%s, 0.4]]}' % ("0" * 400),
+                     "non-finite coordinates in data rows [1]", id="coordinate"),
+        # beyond the default limit of 4300 digits for int() of a string
+        pytest.param('{"points": [[0.5, 0.5], [-1%s, 0.4]]}' % ("0" * 5000),
+                     "non-finite coordinates in data rows [1]", id="coordinate-5000-digits"),
+        pytest.param('{"points": [[0.5, 0.5], [0.6, 0.4]], "weights": [1, 1%s]}' % ("0" * 400),
+                     "zero, negative or non-finite weights in data rows [1]", id="weight"),
+    ])
+    def test_overflowing_json_integer_is_input_error(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "big.json"
+        path.write_text(payload)
+        code = main([
+            "decompose", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", str(path), "--predictions", fx("preds_euclid.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_overflowing_json_group_keys_are_input_error(self, tmp_path, capsys):
+        # too long for int(), so beyond the float range: both keys would become inf
+        keys = ", ".join(f"{lead}{'0' * 5000}" for lead in (1, 2))
+        path = tmp_path / "keys.json"
+        path.write_text('{"points": [[0.5, 0.5], [0.6, 0.4], [0.7, 0.3]], "groups": [%s, "a"]}' % keys)
+        code = main([
+            "total-variance", "--generator", "negative-entropy-simplex", "--dim", "2",
+            "--predictions", str(path), "--mode", "dual",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: infinite group entries in data rows [0, 1]\n"
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"points": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = main([
+            "decompose", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", str(path), "--predictions", fx("preds_euclid.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON (maximum recursion")
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "abc"])
+    @pytest.mark.parametrize("command", ["decompose", "total-variance", "conditional", "ensemble", "check"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, command, value):
+        assert main([*README_ARGV[command], f"--tolerance={value}"]) == 1
+        assert "--tolerance: expected a finite nonnegative number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, message", [
+        ("total-variance", "identity violated: residual"),
+        ("conditional", "identity violated: residual"),
+        ("ensemble", "identity violated: ensembled residual"),
+        ("check", "oracle certification failed: objective gap"),
+    ])
+    def test_zero_tolerance_exits_two_with_report(self, tmp_path, capsys, command, message):
+        # every README example has a nonzero residual, so a zero tolerance trips its gate
+        out = tmp_path / "rep.json"
+        assert main([*README_ARGV[command], "--tolerance", "0", "--out", str(out)]) == 2
+        assert json.loads(out.read_text())
+        assert message in capsys.readouterr().err
 
     def test_identity_failure_exits_two(self, tmp_path, capsys):
         # this fixture pair has a residual of a few 1e-17: nonzero, so a zero

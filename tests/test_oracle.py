@@ -20,23 +20,24 @@ from bregman_bv import (
     fd_gradient,
     primal_mean,
 )
-from bregman_bv.oracle import _simplex_lattice
-from conftest import fig_2b_generator, random_interior_points, random_sample_set
+from bregman_bv import oracle
+from bregman_bv.oracle import _box_grid_blocks, _simplex_lattice
+from conftest import (
+    GENERATOR_NAMES,
+    build_generator,
+    fig_2b_generator,
+    random_interior_points,
+    random_sample_set,
+)
 
 
 class TestConfig:
     def test_defaults_are_desk_scale(self):
-        cfg = OracleConfig()
-        assert cfg.grid_resolution >= 64
-        assert cfg.descent_tolerance > 0 and cfg.fd_step > 0 and cfg.max_iters > 0
+        assert OracleConfig().grid_resolution >= 64
 
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(grid_resolution=1)
-        with pytest.raises(ValueError):
-            OracleConfig(fd_step=0.0)
-        with pytest.raises(ValueError):
-            OracleConfig(descent_tolerance=-1.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -48,6 +49,38 @@ def test_simplex_lattice_matches_cut_enumeration(dim):
         for cuts in itertools.combinations(range(1, resolution), dim - 1)
     ]
     assert np.array_equal(_simplex_lattice(dim, resolution), np.array(expected))
+
+
+@pytest.mark.parametrize("dim, resolution, count", [
+    (3, 9, 9**2),  # two leading axes fixed, blocks of one last-axis run
+    (4, 7, 7**3),  # three leading axes fixed
+    (3, 4, 4 * 2),  # one leading axis fixed, the second cut into runs of two values
+    (2, 25, 25 * 3),  # the last axis alone exceeds a block: runs of 10, 10 and 5 values
+    (1, 25, 3),
+])
+def test_grid_walker_fixes_leading_axes(monkeypatch, dim, resolution, count):
+    axes = [np.linspace(-1.0, 1.0 + j, resolution) for j in range(dim)]
+    (whole,) = [block.copy() for block in _box_grid_blocks(axes)]
+    expected = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert np.array_equal(whole, expected)
+    # blocks of at most 10 rows, in C order
+    monkeypatch.setattr(oracle, "_CHUNK", 10)
+    blocks = [block.copy() for block in _box_grid_blocks(axes)]
+    assert len(blocks) == count
+    assert max(len(block) for block in blocks) <= 10
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("name", GENERATOR_NAMES)
+@pytest.mark.parametrize("dim, resolution", [(2, 25), (3, 9), (4, 7)])
+def test_small_blocks_give_the_single_block_argmin(monkeypatch, name, dim, resolution):
+    g = build_generator(name, dim)
+    s = random_sample_set(g, np.random.default_rng(77 + dim), max_n=5, min_n=2)
+    cfg = OracleConfig(grid_resolution=resolution)
+    single = (argmin_to(g, s, cfg), argmin_from(g, s, cfg))
+    monkeypatch.setattr(oracle, "_CHUNK", 10)
+    assert np.array_equal(argmin_to(g, s, cfg), single[0])
+    assert np.array_equal(argmin_from(g, s, cfg), single[1])
 
 
 class TestFdGradient:
@@ -74,7 +107,7 @@ class TestFdGradient:
     def test_boundary_proximity_rejected(self):
         g = NegativeEntropySimplex(2)
         with pytest.raises(DomainError, match="finite differences"):
-            fd_gradient(g, np.array([1e-6, 1.0 - 1e-6]), OracleConfig(fd_step=1e-6))
+            fd_gradient(g, np.array([1e-6, 1.0 - 1e-6]))
 
 
 class TestArgmin:
@@ -124,6 +157,13 @@ class TestArgmin:
             )
             assert dual_gap <= 1e-5
             assert primal_gap <= 1e-5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the samples overflow on purpose
+    def test_overflow_everywhere_is_domain_error(self):
+        s = SampleSet([[1e200, 1e200], [-1e200, 2e200]])
+        for fn in (argmin_to, argmin_from):
+            with pytest.raises(DomainError, match="no grid point with a finite objective"):
+                fn(SquaredEuclidean(2), s, OracleConfig(grid_resolution=8))
 
     def test_deterministic(self, gen):
         rng = np.random.default_rng(75)
