@@ -495,8 +495,11 @@ def cmd_ensemble(args, g):
         ingest(args.labels, generator=g, allow_boundary=args.label_onehot), "labels"
     )
     predictions = _require_plain(ingest(args.predictions, generator=g), "predictions")
-    if args.mc_draws is not None and args.seed is None:
-        raise ValueError("--mc-draws needs --seed for a reproducible report")
+    if args.mc_draws is not None:
+        if args.mc_draws < 1:
+            raise ValueError(f"--mc-draws must be >= 1, got {args.mc_draws}")
+        if args.seed is None:
+            raise ValueError("--mc-draws needs --seed for a reproducible report")
     report = ensemble_effect(
         g, label, predictions, args.ensemble_n, args.mode,
         mc_draws=args.mc_draws, seed=args.seed,

@@ -295,6 +295,8 @@ def ensemble_distribution(
     n = int(n)
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
+    if mc_draws is not None and int(mc_draws) < 1:
+        raise ValueError(f"mc_draws must be >= 1, got {mc_draws}")
     if n == 1:
         return s
     coords = side.to_coords(g, s.points)

@@ -405,8 +405,11 @@ def _require_dim(spec) -> int:
 def divergence(g: ConvexGenerator, y, x, *, validate: bool = True):
     """Bregman divergence D(y, x) = F(y) - F(x) - <grad F(x), y - x>.
 
-    Broadcasts over leading axes of ``y`` and ``x``.  Overflow near the
-    domain boundary raises instead of clamping.
+    Broadcasts over leading axes of ``y`` and ``x``.  A coordinate where y
+    and x agree adds exactly 0 to the inner product, also where the gradient
+    is infinite on the boundary (a one-hot label against a label mean that
+    misses a class).  Overflow near the domain boundary raises instead of
+    clamping.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -414,7 +417,13 @@ def divergence(g: ConvexGenerator, y, x, *, validate: bool = True):
         g.domain.validate(y, allow_boundary=g.boundary_first_args, role="first divergence argument")
         g.domain.validate_second(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = g.value(y) - g.value(x) - np.sum(g.grad(x) * (y - x), axis=-1)
+        gap = g.value(y) - g.value(x)
+        step = y - x
+        inner = g.grad(x) * step
+        out = gap - np.sum(inner, axis=-1)
+        if not np.all(np.isfinite(out)):
+            # rare, so the common path pays no np.where
+            out = gap - np.sum(np.where(step == 0.0, 0.0, inner), axis=-1)
     if not np.all(np.isfinite(out)):
         raise DomainError("divergence overflowed near the domain boundary")
     return out

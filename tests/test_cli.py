@@ -470,6 +470,44 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_mc_draws_must_be_positive(self, capsys, draws):
+        code = main([
+            "ensemble", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", fx("point_euclid.csv"), "--predictions", fx("preds_euclid.csv"),
+            "--mode", "primal", "--ensemble-n", "2", "--mc-draws", draws, "--seed", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --mc-draws must be >= 1, got {draws}\n"
+
+    def test_overflowing_coordinates_are_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("x0,x1\n1e200,-1e200\n2e200,1e200\n")
+        code = main([
+            "decompose", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", str(path), "--predictions", str(path),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: divergence overflowed near the domain boundary\n"
+
+    def test_onehot_labels_missing_a_class(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("x0,x1,x2\n1,0,0\n0,1,0\n")
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("x0,x1,x2\n0.5,0.3,0.2\n0.2,0.5,0.3\n")
+        out = tmp_path / "report.json"
+        code = main([
+            "decompose", "--generator", "negative-entropy-simplex", "--dim", "3", "--label-onehot",
+            "--labels", str(labels), "--predictions", str(predictions), "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["bayes_error"] == pytest.approx(np.log(2.0), rel=1e-15)
+        assert report["central_label"] == [0.5, 0.5, 0.0]
+
     def test_mc_without_seed(self):
         code = main([
             "ensemble", "--generator", "squared-euclidean", "--dim", "2",

@@ -1,7 +1,11 @@
 """Decomposition identity, total-variance laws, conditional gaps, ensembling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregman_bv import (
     DomainError,
@@ -12,12 +16,19 @@ from bregman_bv import (
     conditional_label,
     conditional_prediction,
     decompose,
+    divergence,
     ensemble_distribution,
     ensemble_effect,
     primal_mean,
     total_variance,
 )
-from conftest import build_generator, fig_2b_generator, random_grouped, random_sample_set
+from conftest import (
+    GENERATOR_NAMES,
+    build_generator,
+    fig_2b_generator,
+    random_grouped,
+    random_sample_set,
+)
 
 # frozen: -log of the normalized-geometric-mean coordinates of {(0.8,0.2),(0.6,0.4)}
 BIAS_ONEHOT_FIRST = 0.34234658484830527
@@ -31,6 +42,16 @@ DUAL_VAR_PAIR = 0.02463800269179502
 
 def kl_pair():
     return SampleSet([[0.8, 0.2], [0.6, 0.4]])
+
+
+def pair_sum_loss(g, labels, predictions, chunk=16):
+    """Reference expected loss: the product-measure double sum, chunked over label rows."""
+    total = 0.0
+    for start in range(0, labels.n, chunk):
+        rows = slice(start, start + chunk)
+        pairs = divergence(g, labels.points[rows, None], predictions.points[None], validate=False)
+        total += labels.weights[rows] @ pairs @ predictions.weights
+    return float(total)
 
 
 class TestDecompose:
@@ -87,6 +108,35 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(g, SampleSet([[1.0, 0.0]]), SampleSet([[0.0, 0.0]]))
 
+    def test_kl_labels_missing_a_class(self):
+        # the label mean (0.5, 0.5, 0) sits on the boundary, where log 0 * 0 was NaN
+        g = NegativeEntropySimplex(3)
+        labels = SampleSet([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        predictions = SampleSet([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]])
+        report = decompose(g, labels, predictions)
+        assert report.bayes_error == pytest.approx(np.log(2.0), rel=1e-15)
+        assert report.expected_loss == pytest.approx(pair_sum_loss(g, labels, predictions), rel=1e-13)
+        assert report.within(1e-12)
+
+    def test_overflowing_total_is_domain_error(self):
+        # each term is finite, their sum (about 2.2e308) is not
+        g = SquaredEuclidean(1)
+        with pytest.raises(DomainError, match="divergence overflowed near the domain boundary"):
+            decompose(g, SampleSet([[1.3e154]]), SampleSet([[7e153], [-7e153]]))
+
+    def test_peak_memory_is_linear(self):
+        rng = np.random.default_rng(34)
+        labels = SampleSet(rng.normal(size=(2000, 10)))
+        predictions = SampleSet(rng.normal(size=(2000, 10)))
+        g = SquaredEuclidean(10)
+        tracemalloc.start()
+        try:
+            decompose(g, labels, predictions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_report_schema(self):
         g = SquaredEuclidean(1)
         report = decompose(g, SampleSet([[0.0]]), SampleSet([[1.0]]))
@@ -99,6 +149,84 @@ class TestDecompose:
             "central_label",
             "central_prediction",
         ]
+
+
+class TestExpectedLossReference:
+    """decompose's expected loss against the product-measure pair sum it replaced."""
+
+    def test_matches_pair_sum(self, gen):
+        rng = np.random.default_rng(35)
+        sizes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(30)] + [(40, 25)]
+        for n, m in sizes:
+            labels = random_sample_set(gen, rng, max_n=n, min_n=n)
+            predictions = random_sample_set(gen, rng, max_n=m, min_n=m)
+            expected_loss = decompose(gen, labels, predictions).expected_loss
+            assert expected_loss == pytest.approx(pair_sum_loss(gen, labels, predictions), rel=1e-12)
+
+    def test_matches_pair_sum_onehot_kl(self):
+        g = NegativeEntropySimplex(3)
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            classes = rng.integers(0, 3, size=int(rng.integers(1, 9)))
+            labels = SampleSet(np.eye(3)[classes], rng.uniform(0.2, 1.0, size=classes.size))
+            predictions = random_sample_set(g, rng)
+            report = decompose(g, labels, predictions)
+            assert report.expected_loss == pytest.approx(pair_sum_loss(g, labels, predictions), rel=1e-12)
+            assert report.within(1e-9)
+
+    @pytest.mark.parametrize("name, offset, max_predictions", [
+        ("squared-euclidean", 1e2, 8),
+        ("squared-euclidean", 1e4, 8),
+        ("mahalanobis", 1e2, 8),
+        ("mahalanobis", 1e4, 8),
+        ("squared-euclidean", 1e2, 1),
+        ("squared-euclidean", 1e4, 1),
+        ("mahalanobis", 1e2, 1),
+        pytest.param("mahalanobis", 1e4, 1, marks=pytest.mark.xfail(strict=True, reason=(
+            "known defect, not of the expected loss: the dual mean of one point comes back "
+            "from the Mahalanobis solve an ulp off, and the generic divergence formula turns "
+            "that into ~1e-7 of bias error at this offset; the pair sum fails the same way"))),
+    ])
+    def test_identity_at_offset(self, name, offset, max_predictions):
+        g = build_generator(name, 2)
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            labels = random_sample_set(g, rng)
+            predictions = random_sample_set(g, rng, max_n=max_predictions, min_n=min(2, max_predictions))
+            report = decompose(g, SampleSet(labels.points + offset, labels.weights),
+                               SampleSet(predictions.points + offset, predictions.weights))
+            assert report.within(1e-9)
+
+
+def _rearranged(s, rng, move):
+    """The same distribution as ``s`` with its atoms permuted, one split in two, or reweighted."""
+    if move == "permute":
+        order = rng.permutation(s.n)
+        return SampleSet(s.points[order], s.weights[order])
+    if move == "split":
+        i = int(rng.integers(s.n))
+        weights = s.weights.copy()
+        weights[i] /= 2.0
+        return SampleSet(np.vstack([s.points, s.points[i]]), np.append(weights, weights[i]))
+    return SampleSet(s.points, s.weights * float(rng.uniform(1e-3, 1e3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(GENERATOR_NAMES), seed=st.integers(0, 2**32 - 1),
+       move=st.sampled_from(["permute", "split", "scale"]), side=st.sampled_from(["labels", "predictions"]))
+def test_terms_invariant_under_atom_rearrangement(name, seed, move, side):
+    g = build_generator(name, 2)
+    rng = np.random.default_rng(seed)
+    labels = random_sample_set(g, rng)
+    predictions = random_sample_set(g, rng)
+    base = decompose(g, labels, predictions)
+    if side == "labels":
+        moved = decompose(g, _rearranged(labels, rng, move), predictions)
+    else:
+        moved = decompose(g, labels, _rearranged(predictions, rng, move))
+    tol = 1e-9 * max(1.0, base.expected_loss)
+    for term in ("expected_loss", "bayes_error", "bias", "model_variance"):
+        assert abs(getattr(moved, term) - getattr(base, term)) <= tol, term
 
 
 class TestTotalVariance:

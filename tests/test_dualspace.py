@@ -166,6 +166,12 @@ class TestVariances:
         assert primal_variance(g, kl_pair()) == pytest.approx(PRIMAL_VAR_PAIR, abs=1e-14)
         assert dual_variance(g, kl_pair()) == pytest.approx(DUAL_VAR_PAIR, abs=1e-14)
 
+    def test_onehot_labels_missing_a_class(self):
+        # the mean (0.5, 0.5, 0) is on the boundary; its zero coordinate agrees with both labels
+        g = NegativeEntropySimplex(3)
+        s = SampleSet([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert primal_variance(g, s) == pytest.approx(np.log(2.0), rel=1e-15)
+
 
 class TestAverages:
     def test_primal_average_pair(self):
@@ -241,6 +247,9 @@ class TestEnsembleDistribution:
             ensemble_distribution(g, s, 0, "primal")
         with pytest.raises(ValueError):
             ensemble_distribution(g, s, 2, "median")
+        for draws in (0, -2):
+            with pytest.raises(ValueError, match=f"mc_draws must be >= 1, got {draws}"):
+                ensemble_distribution(g, s, 2, "primal", mc_draws=draws, seed=1)
 
     def test_underflowing_atoms_are_dropped(self):
         s = SampleSet([[0.8, 0.2], [0.6, 0.4]], [1.0, 1e-200])
