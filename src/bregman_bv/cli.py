@@ -124,7 +124,8 @@ def ingest(path, group_column: str | None = None, *, generator=None, allow_bound
 
 
 def _read_csv(path, group_column):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -324,12 +325,8 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     if idx.size:
         inside = pts[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            from_vals[idx] = (
-                g.value(center) - g.value(inside) - np.sum(g.grad(inside) * (center - inside), axis=-1)
-            )
-            to_vals[idx] = (
-                g.value(inside) - g.value(center) - np.sum(g.grad(center) * (inside - center), axis=-1)
-            )
+            from_vals[idx] = g.divergence_kernel(center, inside)
+            to_vals[idx] = g.divergence_kernel(inside, center)
     # overflow hugging an open boundary degrades to empty cells, like off-domain points
     valued = in_domain & np.isfinite(from_vals) & np.isfinite(to_vals)
     count = int(np.sum(valued))
@@ -451,7 +448,7 @@ def _has_group_column(path, group_col) -> bool:
     """
     if not group_col or str(path).lower().endswith(".json"):
         return False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), [])
     return group_col in [h.strip() for h in header]
 

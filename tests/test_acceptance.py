@@ -297,7 +297,7 @@ def test_criterion_10_cli_end_to_end(tmp_path):
     ])  # boundary labels without --label-onehot
     identity_error = main([
         "decompose", "--generator", "negative-entropy-simplex", "--dim", "2",
-        "--labels", fx("weighted_pair.csv"), "--predictions", fx("grouped_simplex.csv"),
+        "--labels", fx("preds_pair.csv"), "--predictions", fx("grouped_simplex.csv"),
         "--tolerance", "0", "--out", str(tmp_path / "gate.json"),
     ])  # residual is a few 1e-17 here, so a zero tolerance must trip the gate
     ok = all_zero and identical and input_error == 1 and identity_error == 2

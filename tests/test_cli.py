@@ -62,6 +62,20 @@ class TestIngest:
         s = ingest(fx("weighted_pair.csv"))
         assert np.allclose(s.weights, [0.25, 0.75])
 
+    @pytest.mark.parametrize("command, flag, name", [
+        ("decompose", "--predictions", "preds_pair.csv"),
+        ("conditional", "--labels", "grouped_euclid.csv"),  # the group column is peeked at first
+    ])
+    def test_utf8_bom_is_ignored(self, tmp_path, command, flag, name):
+        argv = list(README_ARGV[command])
+        assert argv[argv.index(flag) + 1] == fx(name)
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(fx(name)).read_bytes())
+        assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+        argv[argv.index(flag) + 1] = str(marked)
+        assert main(argv + ["--out", str(tmp_path / "marked.json")]) == 0
+        assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
     def test_json_groups(self):
         grouped = ingest(fx("preds_grouped.json"))
         assert isinstance(grouped, GroupedSampleSet)
@@ -375,6 +389,44 @@ class TestSubcommands:
         assert c1 == 0 and c2 == 0 and b1 == b2
 
 
+def _offset_files(tmp_path, seed, offset=1e6):
+    """A 15-row set in three groups and one point, all near (offset, offset)."""
+    rng = np.random.default_rng(seed)
+    points = offset + rng.uniform(-2.0, 2.0, size=(15, 2))
+    point = offset + rng.uniform(-2.0, 2.0, size=2)
+    grouped = tmp_path / "grouped.csv"
+    grouped.write_text("x0,x1,z\n" + "".join(
+        f"{a!r},{b!r},{'abc'[i // 5]}\n" for i, (a, b) in enumerate(points.tolist())))
+    single = tmp_path / "point.csv"
+    single.write_text("x0,x1\n{!r},{!r}\n".format(*point.tolist()))
+    base = ["--generator", "squared-euclidean", "--dim", "2", "--group-col", "z"]
+    return {
+        "total-variance primal": ["total-variance", *base, "--predictions", str(grouped), "--mode", "primal"],
+        "total-variance dual": ["total-variance", *base, "--predictions", str(grouped), "--mode", "dual"],
+        "conditional prediction": ["conditional", *base, "--labels", str(single), "--predictions", str(grouped)],
+        "conditional label": ["conditional", *base, "--labels", str(grouped), "--predictions", str(single)],
+    }
+
+
+class TestOffset:
+    def test_grouped_reports_certify_at_offset(self, tmp_path, capsys):
+        # the generic formula took ||y||^2 - ||x||^2 at ~2e12 and lost ~1e-4 to
+        # rounding: both total-variance reports failed the 1e-9 gate here
+        for argv in _offset_files(tmp_path, seed=0).values():
+            assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect, not of the divergence: the overall center of the flattened set and "
+        "the weighted mean of the group centers round apart by ~1e-10 at this offset, and "
+        "the conditioning identity turns that into a residual just above 1e-9 (about 1 in 8 "
+        "random sets)"))
+    def test_conditional_at_offset(self, tmp_path):
+        reports = _offset_files(tmp_path, seed=23)
+        for key in ("conditional prediction", "conditional label"):
+            assert main(reports[key]) == 0, key
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         code = main([
@@ -582,7 +634,7 @@ class TestExitCodes:
         out = tmp_path / "rep.json"
         code = main([
             "decompose", "--generator", "negative-entropy-simplex", "--dim", "2",
-            "--labels", fx("weighted_pair.csv"), "--predictions", fx("grouped_simplex.csv"),
+            "--labels", fx("preds_pair.csv"), "--predictions", fx("grouped_simplex.csv"),
             "--tolerance", "0", "--out", str(out),
         ])
         assert code == 2

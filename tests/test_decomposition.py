@@ -182,10 +182,7 @@ class TestExpectedLossReference:
         ("squared-euclidean", 1e2, 1),
         ("squared-euclidean", 1e4, 1),
         ("mahalanobis", 1e2, 1),
-        pytest.param("mahalanobis", 1e4, 1, marks=pytest.mark.xfail(strict=True, reason=(
-            "known defect, not of the expected loss: the dual mean of one point comes back "
-            "from the Mahalanobis solve an ulp off, and the generic divergence formula turns "
-            "that into ~1e-7 of bias error at this offset; the pair sum fails the same way"))),
+        ("mahalanobis", 1e4, 1),
     ])
     def test_identity_at_offset(self, name, offset, max_predictions):
         g = build_generator(name, 2)

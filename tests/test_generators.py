@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bregman_bv import (
+    ConvexGenerator,
     DomainError,
     InversionError,
     Mahalanobis,
@@ -17,7 +18,7 @@ from bregman_bv import (
     make_generator,
     triangle_expansion,
 )
-from conftest import fig_2b_generator, random_interior_points
+from conftest import GENERATOR_NAMES, build_generator, fig_2b_generator, random_interior_points
 
 # frozen by direct evaluation of the closed forms (see test bodies)
 KL_HALF_TO_82 = 0.2231435513142097
@@ -226,3 +227,64 @@ class TestInvariants:
             + (1.0 - lam[:, 0]) * divergence(gen, x2, z, validate=False)
         )
         assert np.all(mixed <= bound + 1e-12)
+
+
+CLOSED_FORMS = [
+    (name, dim)
+    for name in ("squared-euclidean", "mahalanobis", "negative-entropy-simplex")
+    for dim in range(2 if name == "negative-entropy-simplex" else 1, 11)
+]
+
+
+def generic_kernel(g, y, x):
+    """The base-class formula F(y) - F(x) - <grad F(x), y - x>, under divergence's errstate."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return ConvexGenerator.divergence_kernel(g, y, x)
+
+
+def assert_matches_generic(g, y, x):
+    closed = g.divergence_kernel(y, x)
+    reference = generic_kernel(g, y, x)
+    assert closed.shape == reference.shape
+    assert np.all(np.abs(closed - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+
+class TestClosedForms:
+    """Each built-in closed form against the generic kernel it replaces."""
+
+    @pytest.mark.parametrize("name, dim", CLOSED_FORMS)
+    def test_matches_generic_formula(self, name, dim):
+        g = build_generator(name, dim)
+        assert type(g).divergence_kernel is not ConvexGenerator.divergence_kernel
+        rng = np.random.default_rng(dim)
+        y = random_interior_points(g, rng, 200)
+        x = random_interior_points(g, rng, 200)
+        assert_matches_generic(g, y, x)
+        assert_matches_generic(g, y, x[0])  # one center against many points, both ways
+        assert_matches_generic(g, y[0], x)
+
+    @pytest.mark.parametrize("name", GENERATOR_NAMES)
+    def test_equal_arguments_give_exact_zero(self, name):
+        g = build_generator(name, 5)
+        x = random_interior_points(g, np.random.default_rng(21), 200)
+        assert np.all(g.divergence_kernel(x, x) == 0.0)
+
+    def test_kl_boundary_coordinates(self):
+        g = NegativeEntropySimplex(4)
+        rng = np.random.default_rng(22)
+        x = random_interior_points(g, rng, 200)
+        onehot = np.eye(4)[rng.integers(4, size=200)]
+        assert_matches_generic(g, onehot, x)
+        # y = x = 0 in the last coordinate: both points on one face of the simplex
+        face = NegativeEntropySimplex(3)
+        y = np.pad(random_interior_points(face, rng, 200), ((0, 0), (0, 1)))
+        x = np.pad(random_interior_points(face, rng, 200), ((0, 0), (0, 1)))
+        assert_matches_generic(g, y, x)
+        assert_matches_generic(g, np.eye(4)[rng.integers(3, size=200)], x)
+        assert np.all(g.divergence_kernel(x, x) == 0.0)
+
+    def test_kl_keeps_the_off_plane_mass(self):
+        # sums may miss 1 by up to 1e-9; without -sum y + sum x this D would be -1e-10
+        g = NegativeEntropySimplex(3)
+        x = random_interior_points(g, np.random.default_rng(23), 200)
+        assert np.all(np.abs(divergence(g, (1.0 - 1e-10) * x, x)) <= 1e-15)
