@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import os
 import sys
@@ -95,7 +96,7 @@ def ingest(path, group_column: str | None = None, *, generator=None, allow_bound
     else:
         raise ValueError(f"cannot infer format of {path!r}; expected a .csv or .json file")
 
-    if not points:
+    if len(points) == 0:
         raise ValueError(f"{path}: no data rows")
 
     from .dualspace import GroupedSampleSet, SampleSet, check_samples
@@ -108,9 +109,11 @@ def ingest(path, group_column: str | None = None, *, generator=None, allow_bound
         raise type(exc)(f"{path}: {exc}") from None
     if groups is None:
         return flat
-    members = {}  # group key -> data rows, keys in order of first appearance
-    for row, key in enumerate(groups):
-        members.setdefault(key, []).append(row)
+    # rows of each group, keys in order of first appearance; dict keys, so JSON 1 and 1.0 merge
+    code_of = {key: code for code, key in enumerate(dict.fromkeys(groups))}
+    codes = np.fromiter(map(code_of.__getitem__, groups), dtype=np.intp, count=flat.n)
+    ends = np.cumsum(np.bincount(codes, minlength=len(code_of)))[:-1]
+    members = dict(zip(code_of, np.split(np.argsort(codes, kind="stable"), ends)))
     raw_weights = np.ones(flat.n) if weights is None else np.asarray(weights, dtype=float)
     with np.errstate(over="ignore"):
         group_weights = [np.sum(raw_weights[rows]) for rows in members.values()]
@@ -144,20 +147,72 @@ def _read_csv(path, group_column):
             if group_column not in header:
                 raise ValueError(f"{path}: no column named {group_column!r}")
             group_idx = header.index(group_column)
-        points, weights, groups = [], [], []
-        for row_no, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: data row {row_no} has {len(row)} cells, header has {len(header)}"
-                )
-            try:
-                points.append([float(row[i]) for i in coord_idx])
-                if weight_idx is not None:
-                    weights.append(float(row[weight_idx]))
-            except ValueError:
-                raise ValueError(f"{path}: data row {row_no} has a non-numeric cell") from None
-            if group_idx is not None:
-                groups.append(row[group_idx])
+        body = fh.read()
+    columns = (len(header), coord_idx, weight_idx, group_idx)
+    return (_parse_csv_body(body, *columns)
+            or _read_csv_rows(path, csv.reader(io.StringIO(body, newline="")), *columns))
+
+
+# Characters that send a body to the row-by-row reader: quotes, CR line endings
+# and NUL are the csv module's business, and \x1c-\x1f pass numpy's number
+# parser as whitespace but not float().
+_ROW_BY_ROW = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _parse_csv_body(body, n_cells, coord_idx, weight_idx, group_idx):
+    """Points, weights and group keys of a CSV body, parsed in one vectorized call.
+
+    Returns None, and the row-by-row reader decides, unless the body has no
+    character of ``_ROW_BY_ROW``, no blank line and no line beyond the csv
+    field limit, every data row has ``n_cells`` cells and numpy reads every
+    numeric cell; numpy then reads each cell as ``float()`` does.  The
+    arrays are C-contiguous float64, as ``SampleSet`` builds them from
+    lists, so every report matches the row-by-row reader's.
+    """
+    import numpy as np
+
+    if any(c in body for c in _ROW_BY_ROW):
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # loadtxt skips blank lines, which the csv module reads as rows of 0 cells,
+    # and reads cells longer than the csv module's field limit
+    if (not lines or not all(lines) or {line.count(",") for line in lines} != {n_cells - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    numeric = coord_idx + ([] if weight_idx is None else [weight_idx])
+    try:
+        table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, usecols=numeric, ndmin=2)
+    except ValueError:  # a cell numpy does not read as a number; float() may
+        return None
+    d = len(coord_idx)
+    points = np.ascontiguousarray(table[:, :d])
+    weights = None if weight_idx is None else np.ascontiguousarray(table[:, d])
+    groups = None if group_idx is None else [line.split(",")[group_idx] for line in lines]
+    return points, weights, groups
+
+
+def _read_csv_rows(path, rows, n_cells, coord_idx, weight_idx, group_idx):
+    """Points, weights and group keys of CSV data rows, one row at a time.
+
+    The reference for the vectorized parse, and the only code that reports
+    a malformed row.
+    """
+    points, weights, groups = [], [], []
+    for row_no, row in enumerate(rows):
+        if len(row) != n_cells:
+            raise ValueError(
+                f"{path}: data row {row_no} has {len(row)} cells, header has {n_cells}"
+            )
+        try:
+            points.append([float(row[i]) for i in coord_idx])
+            if weight_idx is not None:
+                weights.append(float(row[weight_idx]))
+        except ValueError:
+            raise ValueError(f"{path}: data row {row_no} has a non-numeric cell") from None
+        if group_idx is not None:
+            groups.append(row[group_idx])
     return points, (weights if weight_idx is not None else None), (groups if group_idx is not None else None)
 
 
@@ -232,34 +287,47 @@ def emit_samples(s, out) -> None:
     ``ingest`` of the emitted file reproduces the set to 1e-12 per
     coordinate (floats are rendered with 17 significant digits).
     """
+    import numpy as np
+
     from .dualspace import GroupedSampleSet
 
-    grouped = isinstance(s, GroupedSampleSet)
-
-    def rows():
-        if grouped:
-            for key, group in s.items():
-                gw = s.weight(key)
-                for i in range(group.n):
-                    coords = [_fmt_float(float(v)) for v in group.points[i]]
-                    yield coords + [_fmt_float(gw * float(group.weights[i])), str(key)]
-        else:
-            for i in range(s.n):
-                coords = [_fmt_float(float(v)) for v in s.points[i]]
-                yield coords + [_fmt_float(float(s.weights[i]))]
-
-    header = [f"x{j}" for j in range(s.dim)] + (["weight", "group"] if grouped else ["weight"])
-    _write_csv(out, header, rows())
+    if isinstance(s, GroupedSampleSet):
+        lines = itertools.chain.from_iterable(
+            _csv_lines(np.column_stack([group.points, s.weight(key) * group.weights]),
+                       "," + str(key) + "\n")
+            for key, group in s.items()
+        )
+        header = [f"x{j}" for j in range(s.dim)] + ["weight", "group"]
+    else:
+        lines = _csv_lines(np.column_stack([s.points, s.weights]))
+        header = [f"x{j}" for j in range(s.dim)] + ["weight"]
+    _write_csv(out, header, lines)
 
 
-def _write_csv(out, header, rows) -> None:
-    """Write a header and rows of cells to a path (opened and closed here) or an open stream."""
+def _csv_lines(table, end="\n"):
+    """Lines of CSV cells, one per row of a float table, then ``end``.
+
+    Cells read as ``_fmt_float`` renders them: 17 significant digits, zero as
+    ``0``.  Rows are formatted a block at a time, so a long table is streamed.
+    """
+    import numpy as np
+
+    line = ",".join(["%.17g"] * table.shape[1]) + end.replace("%", "%%")
+    for start in range(0, table.shape[0], 4096):
+        block = table[start:start + 4096] + 0.0  # -0.0 + 0.0 is 0.0, printed as 0
+        if not np.all(np.isfinite(block)):
+            raise ValueError("non-finite value in report")
+        for row in block.tolist():
+            yield line % tuple(row)
+
+
+def _write_csv(out, header, lines) -> None:
+    """Write a header and lines to a path (opened and closed here) or an open stream."""
     own = isinstance(out, str)
     fh = open(out, "w", encoding="utf-8", newline="") if own else out
     try:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(lines)
     finally:
         if own:
             fh.close()
@@ -333,15 +401,11 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     if count == 0:
         raise ValueError("no grid point of the region lies inside the domain")
 
-    def rows():
-        for i in range(pts.shape[0]):
-            coords = [_fmt_float(float(v)) for v in pts[i]]
-            if valued[i]:
-                yield coords + [_fmt_float(float(from_vals[i])), _fmt_float(float(to_vals[i]))]
-            else:
-                yield coords + ["", ""]
-
-    _write_csv(out, [f"x{j}" for j in range(g.dim)] + ["div_from_center", "div_to_center"], rows())
+    # valued rows and rows with empty value cells, each in grid order
+    full = _csv_lines(np.column_stack([pts[valued], from_vals[valued], to_vals[valued]]))
+    empty = _csv_lines(pts[~valued], ",,\n")
+    lines = (next(full) if ok else next(empty) for ok in valued.tolist())
+    _write_csv(out, [f"x{j}" for j in range(g.dim)] + ["div_from_center", "div_to_center"], lines)
     return count
 
 
@@ -551,20 +615,38 @@ def cmd_check(args, g):
     return report, failure
 
 
+def _finite_numbers(option, text, count=None):
+    """The comma-separated numbers of a ``field`` option, each finite."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(map(math.isfinite, values)) or count not in (None, len(values)):
+        what = "a finite number" if count == 1 else "comma-separated finite numbers"
+        raise ValueError(f"{option} needs {what}, got {text!r}")
+    return values
+
+
 def cmd_field(args, g):
-    center = [float(v) for v in args.center.split(",")]
+    # the region is checked here, before any grid arithmetic could overflow
+    center = _finite_numbers("--center", args.center)
     if args.region == "box":
         if not args.lo or not args.hi:
             raise ValueError("box region needs --lo and --hi")
-        region = {
-            "kind": "box",
-            "lo": [float(v) for v in args.lo.split(",")],
-            "hi": [float(v) for v in args.hi.split(",")],
-        }
+        lo, hi = _finite_numbers("--lo", args.lo), _finite_numbers("--hi", args.hi)
+        if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+            raise ValueError("--lo and --hi span a box wider than the float range")
+        region = {"kind": "box", "lo": lo, "hi": hi}
     else:
         if args.radius is None:
             raise ValueError("disk region needs --radius")
-        region = {"kind": "disk", "radius": args.radius, "center": center}
+        (radius,) = _finite_numbers("--radius", args.radius, count=1)
+        # the disk test sums the squared offsets of grid points from the
+        # center, each inside the box of width 2 * radius around it
+        width = 2.0 * radius
+        if not math.isfinite(len(center) * width * width):
+            raise ValueError("--radius makes the disk wider than the float range")
+        region = {"kind": "disk", "radius": radius, "center": center}
     buffer = io.StringIO()
     emit_divergence_field(g, center, region, args.resolution, buffer)
     return buffer.getvalue(), None
@@ -634,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", required=True, choices=["box", "disk"])
     p.add_argument("--lo", help="box lower corner, comma-separated")
     p.add_argument("--hi", help="box upper corner, comma-separated")
-    p.add_argument("--radius", type=float, help="disk radius around the center")
+    p.add_argument("--radius", help="disk radius around the center")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--out")
     p.set_defaults(func=cmd_field)

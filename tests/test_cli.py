@@ -1,11 +1,16 @@
 """Ingestion, emission, JSON rendering and the subcommand/exit-code contract."""
 
+import csv
+import io
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregman_bv import (
     DomainError,
@@ -18,7 +23,8 @@ from bregman_bv import (
     ingest,
     render_json,
 )
-from bregman_bv.cli import _has_group_column, main
+from bregman_bv import cli
+from bregman_bv.cli import _fmt_float, _has_group_column, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,7 +34,7 @@ def fx(name: str) -> str:
 
 
 def _readme_argv():
-    """The README's CLI examples by subcommand, check on a coarse grid."""
+    """The README's CLI examples by subcommand."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     argv = {}
@@ -37,7 +43,6 @@ def _readme_argv():
             args = [fx(a[len("tests/fixtures/"):]) if a.startswith("tests/fixtures/") else a
                     for a in shlex.split(line)[1:]]
             argv[args[0]] = args
-    argv["check"][argv["check"].index("--grid-resolution") + 1] = "8"
     return argv
 
 
@@ -45,10 +50,29 @@ README_ARGV = _readme_argv()
 SUBCOMMANDS = ["decompose", "total-variance", "conditional", "ensemble", "check", "field"]
 
 
+EXPECTED = {command: FIXTURES / "expected" / f"{command}.{'csv' if command == 'field' else 'json'}"
+            for command in SUBCOMMANDS}
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_readme_example_exits_zero(capsys, command):
+def test_readme_example_report_is_pinned(capsys, command):
     assert main(README_ARGV[command]) == 0
-    assert capsys.readouterr().err == ""
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == EXPECTED[command].read_bytes().decode("utf-8")
+
+
+def test_check_report_is_pinned(capsys):
+    # built from lists, these five weighted rows give this report; strided
+    # column views of one parsed table move oracle_objective by one ulp
+    assert main([
+        "check", "--generator", "mahalanobis", "--matrix-file", fx("matrix3.csv"),
+        "--labels", fx("check_mahalanobis3.csv"), "--grid-resolution", "64",
+    ]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    expected = FIXTURES / "expected" / "check_mahalanobis3.json"
+    assert captured.out == expected.read_bytes().decode("utf-8")
 
 
 class TestIngest:
@@ -91,6 +115,15 @@ class TestIngest:
         grouped = ingest(path)
         assert list(grouped.keys()) == keys
         assert all(grouped.groups[key].n == 1 for key in keys)
+
+    def test_json_group_keys_merge_as_dict_keys(self, tmp_path):
+        path = tmp_path / "merge.json"
+        path.write_text(json.dumps({"points": [[0.1 * k, 1.0] for k in range(5)],
+                                    "groups": [1, "a", 1.0, True, "a"]}))
+        grouped = ingest(path)
+        assert list(grouped.keys()) == [1, "a"]
+        assert grouped.groups[1].points[:, 0].tolist() == [0.0, 0.2, 0.30000000000000004]
+        assert grouped.weight(1) == 0.6
 
     def test_csv_group_column(self):
         grouped = ingest(fx("grouped_euclid.csv"), group_column="z")
@@ -172,11 +205,123 @@ class TestIngest:
         assert [grouped.weight(k) for k in ("a", "b")] == [0.5, 0.5]
         assert grouped.groups["a"].weights.tolist() == [0.5, 0.5]
 
+    @pytest.mark.parametrize("cell, fast", [
+        ("nan", True), ("inf", True), ("1e400", True), (" 1", True), ("+.5", True),
+        ("-0", True), ("5e-324", True),
+        ("1_0", False), ("0x1p3", False), ("", False), ("\u0661", False), ("\x1c1", False),
+    ])
+    def test_odd_cells_parse_as_float_parses_them(self, tmp_path, monkeypatch, capsys, cell, fast):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"x0,x1,weight,z\n0.5,0.25,1,a\n-0.0,{cell},2,b\n", encoding="utf-8")
+        assert _compare_readers(path, "z", monkeypatch) is fast
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("content, fast", [
+        ("x0,x1,z\n1,2,a\n\n3,4,b\n", False),  # blank data line
+        ("x0,x1,z\n1,2,a\n3,4,b\n\n", False),  # trailing blank line
+        ("x0\n1\n\n2\n", False),  # a blank line of a one-column file has every cell
+        ("x0\n1\n2\n\n", False),
+        ("x0,x1,z\n", False),  # header only
+        ("x0,x1,z\r\n1,2,a\r\n3,4,b\r\n", False),
+        ("x0,x1,z\r1,2,a\r3,4,b\r", False),
+        ('x0,x1,z\n"1",2,a\n3,4,"b,c"\n', False),
+        ("x0,x1,z\n#1,2,a\n3,4,b\n", False),  # '#' is no comment
+        ("x0,x1,z\n1,2,a\n3,4\n", False),  # ragged: a short row
+        ("x0,x1,z\n1,2,a,9\n3,4,b\n", False),  # ragged: a long row
+        ("\ufeffx0,x1,z\n1,2,a\n3,4,b\n", True),
+        ("x0,x1,z\n1,2, a b \n3,4, a b\n5,6, a b \n", True),  # keys keep their spaces
+        ("x0,x1,z\n1,2,a\n3,4,b", True),  # no final newline
+        ("z,x1,x0\n1,2,3\n4,5,6\n", True),  # columns in any order, z read as text
+        pytest.param("x0,z\n1,%s\n" % ("k" * 140_000), False, id="cell-beyond-csv-field-limit"),
+        pytest.param("x0\n1.%s\n" % ("0" * 140_000), False, id="number-beyond-csv-field-limit"),
+    ])
+    def test_odd_structures_read_as_the_csv_module_reads_them(
+            self, tmp_path, monkeypatch, capsys, content, fast):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(content.encode("utf-8"))
+        group_column = "z" if "z" in content.partition("\n")[0] else None
+        assert _compare_readers(path, group_column, monkeypatch) is fast
+        assert capsys.readouterr().err == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table=st.integers(1, 4).flatmap(lambda d: st.lists(
+            st.lists(st.floats(width=64), min_size=d, max_size=d), min_size=1, max_size=8)),
+        styles=st.lists(st.sampled_from(["{!r}", "{:.3e}", "+{!r}", " {!r} ", "{:.17g}"]), min_size=1),
+        keys=st.lists(st.text("ab #-_", min_size=0, max_size=3), min_size=1),
+        weighted=st.booleans(),
+    )
+    def test_vectorized_parse_matches_rows(self, table, styles, keys, weighted):
+        d = len(table[0])
+        header = [f"x{j}" for j in range(d)] + (["weight"] if weighted else []) + ["z"]
+        lines = []
+        for i, row in enumerate(table):
+            cells = [_cell(styles[(i + j) % len(styles)], v) for j, v in enumerate(row)]
+            if weighted:
+                cells.append(_cell(styles[i % len(styles)], abs(row[0])))
+            lines.append(",".join(cells + [keys[i % len(keys)]]) + "\n")
+        body = "".join(lines)
+        columns = (len(header), list(range(d)), d if weighted else None, len(header) - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = cli._parse_csv_body(body, *columns)
+            rows = cli._read_csv_rows("t.csv", csv.reader(io.StringIO(body, newline="")), *columns)
+        assert fast is not None
+        _assert_bit_equal(fast, rows)
+
     def test_ragged_json(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text('{"points": [[1, 2], [3]]}')
         with pytest.raises(ValueError, match="ragged"):
             ingest(str(path))
+
+
+def _cell(style, value):
+    """A float written in one of several styles; a leading + only where no sign is."""
+    text = style.format(value)
+    return text[1:] if text.startswith("+-") else text
+
+
+def _assert_bit_equal(fast, rows):
+    """The vectorized parse gave C-contiguous float64 arrays bit-equal to the row reader's lists."""
+    for got, want in zip(fast[:2], rows[:2]):
+        assert (got is None) == (want is None)
+        if got is not None:
+            want = np.asarray(want, dtype=float)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert fast[2] == rows[2]
+
+
+def _compare_readers(path, group_column, monkeypatch):
+    """Read a CSV file through both readers; return whether the vectorized parse took it.
+
+    Both must give bit-equal arrays, or the same error, without a word on stderr.
+    """
+    parsed = []
+    parse = cli._parse_csv_body
+
+    def spy(*columns):
+        parsed.append(parse(*columns))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "_parse_csv_body", spy)
+    results = []
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                results.append(cli._read_csv(str(path), group_column))
+            except (ValueError, csv.Error) as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+        monkeypatch.setattr(cli, "_parse_csv_body", lambda *a: None)
+    fast, rows = results
+    took = bool(parsed) and parsed[0] is not None
+    if took:
+        _assert_bit_equal(fast, rows)
+    else:
+        assert fast == rows
+    return took
 
 
 class TestEmit:
@@ -198,6 +343,28 @@ class TestEmit:
         back = ingest(str(path), group_column="group")
         assert back.weight("a") == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(back.groups["a"].points.ravel(), [0.0, 2.0])
+
+
+    def test_rows_match_fmt_float(self):
+        # the cells _fmt_float writes, one at a time: -0.0 as 0, subnormals and extremes exact
+        points = [[-0.0, 5e-324], [1e308, 0.1], [0.1, -0.0]]
+        flat = SampleSet(points, [1.0, 2.0, 3.0])
+        grouped = GroupedSampleSet(
+            {"a b": SampleSet(points[:2], [1.0, 3.0]), 7: SampleSet(points[2:])}, [0.3, 0.7]
+        )
+        want = {
+            flat: "x0,x1,weight\n" + "".join(
+                ",".join(map(_fmt_float, [*p, w])) + "\n"
+                for p, w in zip(flat.points.tolist(), flat.weights.tolist())),
+            grouped: "x0,x1,weight,group\n" + "".join(
+                ",".join(map(_fmt_float, [*p, float(grouped.weight(key)) * w])) + f",{key}\n"
+                for key, group in grouped.items()
+                for p, w in zip(group.points.tolist(), group.weights.tolist())),
+        }
+        for s, text in want.items():
+            out = io.StringIO()
+            emit_samples(s, out)
+            assert out.getvalue() == text
 
 
 class TestRenderJson:
@@ -510,6 +677,25 @@ class TestExitCodes:
         report = json.loads(out.read_text())
         assert report["total"] == pytest.approx(5.5, rel=1e-15)
         assert report["unexplained"] == pytest.approx(5.0, rel=1e-15)
+
+    @pytest.mark.parametrize("options, message", [
+        (["--center=0,0", "--region", "box", "--lo=-inf,-1", "--hi=1,1"],
+         "--lo needs comma-separated finite numbers, got '-inf,-1'"),
+        (["--center=0,0", "--region", "disk", "--radius", "inf"],
+         "--radius needs a finite number, got 'inf'"),
+        (["--center=0,0", "--region", "box", "--lo=-1e308,-1", "--hi=1e308,1"],
+         "--lo and --hi span a box wider than the float range"),
+        (["--center=0,0", "--region", "disk", "--radius", "1e200"],
+         "--radius makes the disk wider than the float range"),
+        (["--center=1.5e308,0", "--region", "disk", "--radius", "3e307"],
+         "--radius makes the disk wider than the float range"),
+        (["--center=a,0", "--region", "disk", "--radius", "1"],
+         "--center needs comma-separated finite numbers, got 'a,0'"),
+    ], ids=["inf-lo", "inf-radius", "box-span", "disk-square", "disk-edge", "center-text"])
+    def test_field_region_out_of_float_range(self, capsys, options, message):
+        code = main(["field", "--generator", "squared-euclidean", "--dim", "2", *options, "--resolution", "3"])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["decompose", "--generator", "squared-euclidean"]) == 1
