@@ -60,6 +60,7 @@ _EXPORTS = {
     "DUAL_ENSEMBLE_VARIANCE_SLACK": ".decomposition",
     # oracle
     "OracleConfig": ".oracle",
+    "certify_means": ".oracle",
     "argmin_to": ".oracle",
     "argmin_from": ".oracle",
     "fd_gradient": ".oracle",

@@ -126,15 +126,22 @@ def ingest(path, group_column: str | None = None, *, generator=None, allow_bound
     return GroupedSampleSet(group_sets, group_weights)
 
 
+def _csv_header(path, reader):
+    """The stripped header cells of a CSV reader, or None for an empty file."""
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:  # a header cell beyond the csv field limit
+        raise ValueError(f"{path}: header: {exc}") from None
+    return None if header is None else [h.strip() for h in header]
+
+
 def _read_csv(path, group_column):
     # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = _csv_header(path, reader)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         coord_names = []
         while f"x{len(coord_names)}" in header:
             coord_names.append(f"x{len(coord_names)}")
@@ -200,19 +207,23 @@ def _read_csv_rows(path, rows, n_cells, coord_idx, weight_idx, group_idx):
     a malformed row.
     """
     points, weights, groups = [], [], []
-    for row_no, row in enumerate(rows):
-        if len(row) != n_cells:
-            raise ValueError(
-                f"{path}: data row {row_no} has {len(row)} cells, header has {n_cells}"
-            )
-        try:
-            points.append([float(row[i]) for i in coord_idx])
-            if weight_idx is not None:
-                weights.append(float(row[weight_idx]))
-        except ValueError:
-            raise ValueError(f"{path}: data row {row_no} has a non-numeric cell") from None
-        if group_idx is not None:
-            groups.append(row[group_idx])
+    row_no = -1
+    try:
+        for row_no, row in enumerate(rows):
+            if len(row) != n_cells:
+                raise ValueError(
+                    f"{path}: data row {row_no} has {len(row)} cells, header has {n_cells}"
+                )
+            try:
+                points.append([float(row[i]) for i in coord_idx])
+                if weight_idx is not None:
+                    weights.append(float(row[weight_idx]))
+            except ValueError:
+                raise ValueError(f"{path}: data row {row_no} has a non-numeric cell") from None
+            if group_idx is not None:
+                groups.append(row[group_idx])
+    except csv.Error as exc:  # raised by the reader for the row after the last one read
+        raise ValueError(f"{path}: data row {row_no + 1}: {exc}") from None
     return points, (weights if weight_idx is not None else None), (groups if group_idx is not None else None)
 
 
@@ -345,7 +356,8 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     D(center, p) and D(p, center); grid points inside the region but outside
     the generator's domain, or where the divergence overflows, keep empty
     value cells.  Returns the number of valued rows and raises if there are
-    none.
+    none.  A region with non-finite bounds or radius, or wider than the float
+    range, raises before any grid arithmetic.
     """
     import numpy as np
 
@@ -358,23 +370,37 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
         disk_center, radius = None, None
     elif kind == "disk":
         radius = float(region["radius"])
+        if not math.isfinite(radius):
+            raise ValueError("disk radius must be finite")
         if radius <= 0:
             raise ValueError("disk radius must be positive")
+        # the disk test sums the squared offsets of grid points from the
+        # center, each inside the box of width 2 * radius around it
+        width = 2.0 * radius
+        if not math.isfinite(g.dim * width * width):
+            raise ValueError("disk region is wider than the float range")
         disk_center = np.asarray(region.get("center", center), dtype=float)
-        lo = disk_center - radius
+        lo = disk_center - radius  # cannot overflow: the width check keeps radius below 1e154
         hi = disk_center + radius
     else:
         raise ValueError("region kind must be 'box' or 'disk'")
     if lo.shape != (g.dim,) or hi.shape != (g.dim,):
         raise ValueError(f"region bounds must have dimension {g.dim}")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("region bounds must be finite")
     if not np.all(lo < hi):
         raise ValueError("region needs lo < hi in every coordinate")
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.all(np.isfinite(span)):
+        raise ValueError("region spans wider than the float range")
 
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if resolution == 1:
-        axes = [np.array([0.5 * (lo[j] + hi[j])]) for j in range(g.dim)]
+        # halved first, so the sum stays in range; as exact as halving the sum
+        axes = [np.array([0.5 * lo[j] + 0.5 * hi[j]]) for j in range(g.dim)]
     else:
         axes = [np.linspace(lo[j], hi[j], resolution) for j in range(g.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -399,6 +425,8 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     valued = in_domain & np.isfinite(from_vals) & np.isfinite(to_vals)
     count = int(np.sum(valued))
     if count == 0:
+        if idx.size:
+            raise ValueError("the divergences overflow at every grid point of the region inside the domain")
         raise ValueError("no grid point of the region lies inside the domain")
 
     # valued rows and rows with empty value cells, each in grid order
@@ -464,15 +492,7 @@ def _require_point(sample_set, what):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each cmd_*(args, g) returns (report, failure).  The report is a
-# dict rendered as JSON, or CSV text for field; failure is None or the message
-# of an identity or certification failure (exit 2).
-
-def _identity_failure(report, tol, what="residual"):
-    """Failure message of a decomposition whose identity misses ``tol * max(1, loss)``."""
-    if report.within(tol):
-        return None
-    return f"identity violated: {what} {report.identity_residual:.6e} exceeds {tol:g} * max(1, loss)"
+# subcommands: each cmd_*(args, g) returns its report, or field its CSV text
 
 
 def cmd_decompose(args, g):
@@ -482,8 +502,7 @@ def cmd_decompose(args, g):
         ingest(args.labels, generator=g, allow_boundary=args.label_onehot), "labels"
     )
     predictions = _require_plain(ingest(args.predictions, generator=g), "predictions")
-    report = decompose(g, labels, predictions)
-    return report.as_dict(), _identity_failure(report, args.tolerance)
+    return decompose(g, labels, predictions)
 
 
 def cmd_total_variance(args, g):
@@ -497,11 +516,7 @@ def cmd_total_variance(args, g):
                      allow_boundary=bool(args.labels and args.label_onehot))
     if not isinstance(grouped, GroupedSampleSet):
         raise ValueError("total-variance needs grouped input; pass --group-col or JSON groups")
-    report = total_variance(g, grouped, args.mode)
-    failure = None
-    if abs(report.residual) > args.tolerance:
-        failure = f"identity violated: residual {report.residual:.6e} exceeds {args.tolerance:g}"
-    return report.as_dict(), failure
+    return total_variance(g, grouped, args.mode)
 
 
 def _has_group_column(path, group_col) -> bool:
@@ -513,8 +528,7 @@ def _has_group_column(path, group_col) -> bool:
     if not group_col or str(path).lower().endswith(".json"):
         return False
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = next(csv.reader(fh), [])
-    return group_col in [h.strip() for h in header]
+        return group_col in (_csv_header(path, csv.reader(fh)) or [])
 
 
 def cmd_conditional(args, g):
@@ -538,15 +552,9 @@ def cmd_conditional(args, g):
         raise ValueError("conditional needs exactly one grouped side (the conditioned one)")
     if predictions_grouped:
         label = _require_point(labels, "labels")
-        report = conditional_prediction(g, label, predictions)
-    else:
-        prediction = _require_point(predictions, "predictions")
-        report = conditional_label(g, labels, prediction)
-    worst = max(abs(report.bias_residual), abs(report.variance_residual))
-    failure = None
-    if worst > args.tolerance or report.gap < -1e-12:
-        failure = f"identity violated: residual {worst:.6e} exceeds {args.tolerance:g}"
-    return report.as_dict(), failure
+        return conditional_prediction(g, label, predictions)
+    prediction = _require_point(predictions, "predictions")
+    return conditional_label(g, labels, prediction)
 
 
 def cmd_ensemble(args, g):
@@ -561,58 +569,20 @@ def cmd_ensemble(args, g):
             raise ValueError(f"--mc-draws must be >= 1, got {args.mc_draws}")
         if args.seed is None:
             raise ValueError("--mc-draws needs --seed for a reproducible report")
-    report = ensemble_effect(
+    return ensemble_effect(
         g, label, predictions, args.ensemble_n, args.mode,
         mc_draws=args.mc_draws, seed=args.seed,
     )
-    failures = [
-        _identity_failure(part, args.tolerance, f"{name} residual")
-        for name, part in (("base", report.base), ("ensembled", report.ensembled))
-    ]
-    if report.mode == "dual" and False in (report.bias_preserved, report.variance_reduced):
-        failures.append(
-            f"dual ensembling certification failed: bias change {report.bias_change:.6e}, "
-            f"variance change {report.variance_change:.6e}"
-        )
-    return report.as_dict(), "\n".join(f for f in failures if f) or None
 
 
 def cmd_check(args, g):
-    from .dualspace import dual_mean, primal_mean
-    from .oracle import (
-        OracleConfig,
-        argmin_from,
-        argmin_to,
-        expected_divergence_from,
-        expected_divergence_to,
-    )
+    from .oracle import OracleConfig, certify_means
 
     path = args.labels or args.predictions
     if not path or (args.labels and args.predictions):
         raise ValueError("check takes exactly one sample file (--labels or --predictions)")
     s = _require_plain(ingest(path, generator=g), "samples")
-    cfg = OracleConfig(grid_resolution=args.grid_resolution)
-    report = {"grid_resolution": args.grid_resolution, "tolerance": args.tolerance}
-    # the label mean minimizes E D(Y, z), the dual mean E D(z, X)
-    for side, analytic, argmin, objective in (
-        ("primal", primal_mean(s), argmin_from, expected_divergence_from),
-        ("dual", dual_mean(g, s), argmin_to, expected_divergence_to),
-    ):
-        found = argmin(g, s, cfg)
-        analytic_objective = objective(g, s, analytic)
-        oracle_objective = objective(g, s, found)
-        report[side] = {
-            "analytic_objective": analytic_objective,
-            "oracle_objective": oracle_objective,
-            "objective_gap": abs(analytic_objective - oracle_objective),
-            "analytic_point": [float(v) for v in analytic],
-            "oracle_point": [float(v) for v in found],
-        }
-    worst = max(report["primal"]["objective_gap"], report["dual"]["objective_gap"])
-    failure = None
-    if worst > args.tolerance:
-        failure = f"oracle certification failed: objective gap {worst:.6e} exceeds {args.tolerance:g}"
-    return report, failure
+    return certify_means(g, s, OracleConfig(grid_resolution=args.grid_resolution), args.tolerance)
 
 
 def _finite_numbers(option, text, count=None):
@@ -628,28 +598,20 @@ def _finite_numbers(option, text, count=None):
 
 
 def cmd_field(args, g):
-    # the region is checked here, before any grid arithmetic could overflow
     center = _finite_numbers("--center", args.center)
     if args.region == "box":
         if not args.lo or not args.hi:
             raise ValueError("box region needs --lo and --hi")
         lo, hi = _finite_numbers("--lo", args.lo), _finite_numbers("--hi", args.hi)
-        if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
-            raise ValueError("--lo and --hi span a box wider than the float range")
         region = {"kind": "box", "lo": lo, "hi": hi}
     else:
         if args.radius is None:
             raise ValueError("disk region needs --radius")
         (radius,) = _finite_numbers("--radius", args.radius, count=1)
-        # the disk test sums the squared offsets of grid points from the
-        # center, each inside the box of width 2 * radius around it
-        width = 2.0 * radius
-        if not math.isfinite(len(center) * width * width):
-            raise ValueError("--radius makes the disk wider than the float range")
         region = {"kind": "disk", "radius": radius, "center": center}
     buffer = io.StringIO()
     emit_divergence_field(g, center, region, args.resolution, buffer)
-    return buffer.getvalue(), None
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +714,14 @@ def main(argv=None) -> int:
         g = _generator_from_args(args)
         if getattr(args, "label_onehot", False) and not g.boundary_first_args:
             raise ValueError("--label-onehot is only meaningful for the negative-entropy-simplex generator")
-        report, failure = args.func(args, g)
-        _write_text(report if isinstance(report, str) else render_json(report) + "\n", args.out)
-        if failure is None:
+        report = args.func(args, g)
+        if isinstance(report, str):  # the CSV text of field, which has no gate
+            _write_text(report, args.out)
             return 0
-        print(failure, file=sys.stderr)
-        return 2
+        _write_text(render_json(report.as_dict()) + "\n", args.out)
+        failures = report.failures(args.tolerance)
+        sys.stderr.writelines(f"{message}\n" for message in failures)
+        return 2 if failures else 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

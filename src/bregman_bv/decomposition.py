@@ -52,7 +52,7 @@ DUAL_ENSEMBLE_VARIANCE_SLACK = 1e-12
 
 
 class _Report:
-    """Base of the report dataclasses."""
+    """Base of the report dataclasses; a gated report's ``failures(tol)`` lists each rule it misses."""
 
     def as_dict(self) -> dict:
         """The fields in declaration order; arrays become float lists, nested reports dicts."""
@@ -79,9 +79,10 @@ class DecompositionReport(_Report):
     central_label: np.ndarray
     central_prediction: np.ndarray
 
-    def within(self, tol: float = 1e-9) -> bool:
-        """Whether the identity residual is inside the relative tolerance."""
-        return abs(self.identity_residual) <= tol * max(1.0, abs(self.expected_loss))
+    def failures(self, tol: float, what: str = "residual") -> list[str]:
+        if abs(self.identity_residual) <= tol * max(1.0, abs(self.expected_loss)):
+            return []
+        return [f"identity violated: {what} {self.identity_residual:.6e} exceeds {tol:g} * max(1, loss)"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +94,11 @@ class TotalVarianceReport(_Report):
     unexplained: float
     residual: float
     mode: str
+
+    def failures(self, tol: float) -> list[str]:
+        if abs(self.residual) > tol:
+            return [f"identity violated: residual {self.residual:.6e} exceeds {tol:g}"]
+        return []
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +118,12 @@ class ConditionalReport(_Report):
     bias_residual: float
     variance_residual: float
 
+    def failures(self, tol: float) -> list[str]:
+        worst = max(abs(self.bias_residual), abs(self.variance_residual))
+        if worst > tol or self.gap < -1e-12:
+            return [f"identity violated: residual {worst:.6e} exceeds {tol:g}"]
+        return []
+
 
 @dataclass(frozen=True, eq=False)
 class EnsembleEffectReport(_Report):
@@ -125,6 +137,13 @@ class EnsembleEffectReport(_Report):
     variance_change: float
     bias_preserved: bool | None
     variance_reduced: bool | None
+
+    def failures(self, tol: float) -> list[str]:
+        found = self.base.failures(tol, "base residual") + self.ensembled.failures(tol, "ensembled residual")
+        if False in (self.bias_preserved, self.variance_reduced):
+            found.append(f"dual ensembling certification failed: bias change {self.bias_change:.6e}, "
+                         f"variance change {self.variance_change:.6e}")
+        return found
 
 
 def decompose(g: ConvexGenerator, labels: SampleSet, predictions: SampleSet) -> DecompositionReport:

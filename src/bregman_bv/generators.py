@@ -131,7 +131,9 @@ class OpenSimplex(Domain):
             positive = np.all(x >= 0.0, axis=-1)
         else:
             positive = np.all(x > 0.0, axis=-1)
-        on_plane = np.abs(np.sum(x, axis=-1) - 1.0) <= self.sum_tolerance
+        # a sum beyond the float range is off the plane, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            on_plane = np.abs(np.sum(x, axis=-1) - 1.0) <= self.sum_tolerance
         return positive & on_plane & np.all(np.isfinite(x), axis=-1)
 
     def validate_second(self, x):

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualspace import SampleSet, _compositions
+from .decomposition import _Report
+from .dualspace import SampleSet, _compositions, dual_mean, primal_mean
 from .errors import DomainError
 from .generators import ConvexGenerator, FullSpace, OpenBox, OpenSimplex
 
 __all__ = [
     "OracleConfig",
+    "certify_means",
     "argmin_to",
     "argmin_from",
     "fd_gradient",
@@ -244,6 +246,49 @@ def argmin_from(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig | None = Non
     """Brute-force minimizer of z -> sum_i w_i D(x_i, z); reference for the primal mean."""
     cfg = cfg or OracleConfig()
     return _argmin(g, s, cfg, _objective_from(g, s))
+
+
+@dataclass(frozen=True, eq=False)
+class OracleSide(_Report):
+    """An analytic mean against the oracle's minimizer of the same objective."""
+
+    analytic_objective: float
+    oracle_objective: float
+    objective_gap: float
+    analytic_point: np.ndarray
+    oracle_point: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CertificationReport(_Report):
+    """Both analytic means against the oracle at one grid resolution."""
+
+    grid_resolution: int
+    tolerance: float
+    primal: OracleSide
+    dual: OracleSide
+
+    def failures(self, tol: float) -> list[str]:
+        worst = max(self.primal.objective_gap, self.dual.objective_gap)
+        if worst > tol:
+            return [f"oracle certification failed: objective gap {worst:.6e} exceeds {tol:g}"]
+        return []
+
+
+def certify_means(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, tolerance: float):
+    """Certify the primal and dual means of ``s`` by the objective values the oracles attain."""
+    sides = []
+    # the primal mean minimizes E D(X, z), the dual mean E D(z, X)
+    for analytic, argmin, objective in (
+        (primal_mean(s), argmin_from, expected_divergence_from),
+        (dual_mean(g, s), argmin_to, expected_divergence_to),
+    ):
+        found = argmin(g, s, cfg)
+        analytic_objective = objective(g, s, analytic)
+        oracle_objective = objective(g, s, found)
+        gap = abs(analytic_objective - oracle_objective)
+        sides.append(OracleSide(analytic_objective, oracle_objective, gap, analytic, found))
+    return CertificationReport(cfg.grid_resolution, tolerance, *sides)
 
 
 def fd_gradient(g: ConvexGenerator, x):

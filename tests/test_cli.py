@@ -426,6 +426,36 @@ class TestDivergenceField:
                 g, [0.5, 0.5], {"kind": "box", "lo": [0.1, 0.1], "hi": [0.2, 0.2]}, 4, "unused.csv"
             )
 
+    # a numpy warning leaked by the grid arithmetic is an error in this suite
+    @pytest.mark.parametrize("center, region, message", [
+        ([0, 0], {"kind": "box", "lo": [-np.inf, -1], "hi": [1, 1]}, "region bounds must be finite"),
+        ([0, 0], {"kind": "box", "lo": [-1, -1], "hi": [1, np.nan]}, "region bounds must be finite"),
+        ([0, 0], {"kind": "disk", "radius": 1, "center": [np.inf, 0]}, "region bounds must be finite"),
+        ([0, 0], {"kind": "disk", "radius": np.inf}, "disk radius must be finite"),
+        ([0, 0], {"kind": "disk", "radius": np.nan}, "disk radius must be finite"),
+        ([0, 0], {"kind": "box", "lo": [-1e308, -1], "hi": [1e308, 1]},
+         "region spans wider than the float range"),
+        ([0, 0], {"kind": "disk", "radius": 1e200}, "disk region is wider than the float range"),
+        ([1.5e308, 0], {"kind": "disk", "radius": 3e307}, "disk region is wider than the float range"),
+    ], ids=["inf-lo", "nan-hi", "inf-disk-center", "inf-radius", "nan-radius", "box-span", "disk-square",
+            "disk-edge"])
+    def test_region_checked_before_grid_arithmetic(self, center, region, message):
+        with pytest.raises(ValueError) as excinfo:
+            emit_divergence_field(SquaredEuclidean(2), center, region, 3, io.StringIO())
+        assert str(excinfo.value) == message
+
+    def test_region_near_the_float_limit(self):
+        # the midpoint of a one-point grid is taken without forming lo + hi
+        out = io.StringIO()
+        assert emit_divergence_field(
+            SquaredEuclidean(1), [1.25e308], {"kind": "box", "lo": [1e308], "hi": [1.5e308]}, 1, out
+        ) == 1
+        assert out.getvalue().splitlines()[1] == "1.25e+308,0,0"
+        # coordinates whose sum overflows lie off the simplex
+        with pytest.raises(ValueError, match="no grid point of the region lies inside the domain"):
+            emit_divergence_field(NegativeEntropySimplex(2), [0.5, 0.5],
+                                  {"kind": "box", "lo": [1e308, 1e308], "hi": [1.5e308, 1.5e308]}, 3, out)
+
 
 def run_twice(argv_base, tmp_path, stem):
     """Run a subcommand twice with --out files; return (exit codes, bytes pair)."""
@@ -684,11 +714,11 @@ class TestExitCodes:
         (["--center=0,0", "--region", "disk", "--radius", "inf"],
          "--radius needs a finite number, got 'inf'"),
         (["--center=0,0", "--region", "box", "--lo=-1e308,-1", "--hi=1e308,1"],
-         "--lo and --hi span a box wider than the float range"),
+         "region spans wider than the float range"),
         (["--center=0,0", "--region", "disk", "--radius", "1e200"],
-         "--radius makes the disk wider than the float range"),
+         "disk region is wider than the float range"),
         (["--center=1.5e308,0", "--region", "disk", "--radius", "3e307"],
-         "--radius makes the disk wider than the float range"),
+         "disk region is wider than the float range"),
         (["--center=a,0", "--region", "disk", "--radius", "1"],
          "--center needs comma-separated finite numbers, got 'a,0'"),
     ], ids=["inf-lo", "inf-radius", "box-span", "disk-square", "disk-edge", "center-text"])
@@ -696,6 +726,40 @@ class TestExitCodes:
         code = main(["field", "--generator", "squared-euclidean", "--dim", "2", *options, "--resolution", "3"])
         assert code == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_field_overflowing_divergences(self, capsys):
+        # every grid point lies in the full-space domain; every divergence overflows
+        code = main(["field", "--generator", "squared-euclidean", "--dim", "2", "--center=0,0",
+                     "--region", "box", "--lo=1e200,1e200", "--hi=2e200,2e200", "--resolution", "3"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: the divergences overflow at every grid point of the region inside the domain\n"
+        )
+
+    def test_cell_beyond_csv_field_limit(self, tmp_path, capsys):
+        path = tmp_path / "long_key.csv"
+        path.write_text(f"x0,x1,z\n1,2,a\n3,4,{'k' * 140_000}\n5,6,a\n")
+        code = main(["total-variance", "--generator", "squared-euclidean", "--dim", "2",
+                     "--labels", str(path), "--group-col", "z", "--mode", "primal"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: data row 1: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize("command, options", [
+        ("decompose", []),
+        # conditional peeks at the header for the group column before reading the file
+        ("conditional", ["--group-col", "z"]),
+    ])
+    def test_header_cell_beyond_csv_field_limit(self, tmp_path, capsys, command, options):
+        path = tmp_path / "long_header.csv"
+        path.write_text(f"x0,x1,{'z' * 140_000}\n1,2,a\n")
+        code = main([command, "--generator", "squared-euclidean", "--dim", "2", "--labels", str(path),
+                     "--predictions", fx("point_euclid.csv"), *options])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: header: field larger than field limit (131072)\n"
+        )
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["decompose", "--generator", "squared-euclidean"]) == 1
@@ -729,6 +793,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: divergence overflowed near the domain boundary\n"
+
+    def test_simplex_coordinates_whose_sum_overflows(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("x0,x1\n1e308,1e308\n0.5,0.5\n")
+        code = main([
+            "decompose", "--generator", "negative-entropy-simplex", "--dim", "2",
+            "--labels", str(path), "--predictions", fx("preds_pair.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {path}: samples [0] outside the open-simplex domain\n")
 
     def test_onehot_labels_missing_a_class(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
@@ -802,17 +876,17 @@ class TestExitCodes:
         assert "--tolerance: expected a finite nonnegative number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, message", [
-        ("total-variance", "identity violated: residual"),
-        ("conditional", "identity violated: residual"),
-        ("ensemble", "identity violated: ensembled residual"),
-        ("check", "oracle certification failed: objective gap"),
+        ("total-variance", "identity violated: residual -2.775558e-17 exceeds 0"),
+        ("conditional", "identity violated: residual 1.110223e-16 exceeds 0"),
+        ("ensemble", "identity violated: ensembled residual 5.551115e-17 exceeds 0 * max(1, loss)"),
+        ("check", "oracle certification failed: objective gap 1.110223e-15 exceeds 0"),
     ])
     def test_zero_tolerance_exits_two_with_report(self, tmp_path, capsys, command, message):
         # every README example has a nonzero residual, so a zero tolerance trips its gate
         out = tmp_path / "rep.json"
         assert main([*README_ARGV[command], "--tolerance", "0", "--out", str(out)]) == 2
         assert json.loads(out.read_text())
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == message + "\n"
 
     def test_identity_failure_exits_two(self, tmp_path, capsys):
         # this fixture pair has a residual of a few 1e-17: nonzero, so a zero

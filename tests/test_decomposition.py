@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregman_bv import (
+    ConditionalReport,
+    DecompositionReport,
     DomainError,
+    EnsembleEffectReport,
     GroupedSampleSet,
     NegativeEntropySimplex,
     SampleSet,
     SquaredEuclidean,
+    TotalVarianceReport,
     conditional_label,
     conditional_prediction,
     decompose,
@@ -86,7 +90,7 @@ class TestDecompose:
             labels = random_sample_set(gen, rng, max_n=8)
             predictions = random_sample_set(gen, rng, max_n=8)
             report = decompose(gen, labels, predictions)
-            assert report.within(1e-9)
+            assert not report.failures(1e-9)
 
     def test_euclidean_closed_forms(self):
         g = SquaredEuclidean(3)
@@ -116,7 +120,7 @@ class TestDecompose:
         report = decompose(g, labels, predictions)
         assert report.bayes_error == pytest.approx(np.log(2.0), rel=1e-15)
         assert report.expected_loss == pytest.approx(pair_sum_loss(g, labels, predictions), rel=1e-13)
-        assert report.within(1e-12)
+        assert not report.failures(1e-12)
 
     def test_overflowing_total_is_domain_error(self):
         # each term is finite, their sum (about 2.2e308) is not
@@ -172,7 +176,7 @@ class TestExpectedLossReference:
             predictions = random_sample_set(g, rng)
             report = decompose(g, labels, predictions)
             assert report.expected_loss == pytest.approx(pair_sum_loss(g, labels, predictions), rel=1e-12)
-            assert report.within(1e-9)
+            assert not report.failures(1e-9)
 
     @pytest.mark.parametrize("name, offset, max_predictions", [
         ("squared-euclidean", 1e2, 8),
@@ -192,7 +196,7 @@ class TestExpectedLossReference:
             predictions = random_sample_set(g, rng, max_n=max_predictions, min_n=min(2, max_predictions))
             report = decompose(g, SampleSet(labels.points + offset, labels.weights),
                                SampleSet(predictions.points + offset, predictions.weights))
-            assert report.within(1e-9)
+            assert not report.failures(1e-9)
 
 
 def _rearranged(s, rng, move):
@@ -403,3 +407,86 @@ class TestEnsembleEffect:
         assert report.bias_preserved is None
         assert report.variance_reduced is None
         assert np.isfinite(report.bias_change)
+
+
+def _above(x):
+    """The next float above ``x``."""
+    return float(np.nextafter(x, np.inf))
+
+
+def _decomposition(residual, loss=1.0):
+    return DecompositionReport(
+        expected_loss=loss, bayes_error=0.0, bias=0.0, model_variance=loss,
+        identity_residual=residual, central_label=np.zeros(1), central_prediction=np.zeros(1),
+    )
+
+
+def _conditional(bias_residual=0.0, variance_residual=0.0, gap=0.0):
+    return ConditionalReport(
+        conditional_bias=1.0, conditional_variance=1.0, unconditional_bias=1.0,
+        unconditional_variance=1.0, gap=gap, side="prediction",
+        bias_residual=bias_residual, variance_residual=variance_residual,
+    )
+
+
+def _ensemble(base=0.0, ensembled=0.0, bias_preserved=True, variance_reduced=True):
+    return EnsembleEffectReport(
+        mode="dual", n=2, base=_decomposition(base), ensembled=_decomposition(ensembled),
+        bias_change=-2e-10, variance_change=3e-12,
+        bias_preserved=bias_preserved, variance_reduced=variance_reduced,
+    )
+
+
+class TestGates:
+    """Each report's gate rule at its boundary: the bound passes, the next float fails."""
+
+    @pytest.mark.parametrize("loss", [0.25, 1.0, 3.0, -3.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_decomposition_is_relative_to_the_loss(self, loss, sign):
+        bound = 1e-9 * max(1.0, abs(loss))
+        assert _decomposition(sign * bound, loss).failures(1e-9) == []
+        residual = sign * _above(bound)
+        assert _decomposition(residual, loss).failures(1e-9) == [
+            f"identity violated: residual {residual:.6e} exceeds 1e-09 * max(1, loss)"
+        ]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_total_variance_is_absolute(self, sign):
+        def report(residual):
+            return TotalVarianceReport(total=5.0, explained=2.0, unexplained=3.0, residual=residual,
+                                       mode="primal")
+
+        assert report(sign * 1e-9).failures(1e-9) == []
+        assert report(sign * _above(1e-9)).failures(1e-9) == [
+            f"identity violated: residual {sign * _above(1e-9):.6e} exceeds 1e-09"
+        ]
+
+    @pytest.mark.parametrize("field", ["bias_residual", "variance_residual"])
+    def test_conditional_residuals_are_absolute(self, field):
+        assert _conditional(**{field: -1e-9}).failures(1e-9) == []
+        assert _conditional(**{field: -_above(1e-9)}).failures(1e-9) == [
+            f"identity violated: residual {_above(1e-9):.6e} exceeds 1e-09"
+        ]
+
+    def test_conditional_gap_may_be_negative_by_rounding_only(self):
+        assert _conditional(gap=-1e-12).failures(1e-9) == []
+        for gap in (-float(np.nextafter(1e-12, np.inf)), -2e-12):
+            assert _conditional(gap=gap).failures(1e-9) == [
+                "identity violated: residual 0.000000e+00 exceeds 1e-09"
+            ]
+
+    def test_ensemble_gates_both_decompositions(self):
+        assert _ensemble(base=1e-9, ensembled=-1e-9).failures(1e-9) == []
+        assert _ensemble(base=_above(1e-9), ensembled=-_above(1e-9)).failures(1e-9) == [
+            f"identity violated: base residual {_above(1e-9):.6e} exceeds 1e-09 * max(1, loss)",
+            f"identity violated: ensembled residual {-_above(1e-9):.6e} exceeds 1e-09 * max(1, loss)",
+        ]
+
+    @pytest.mark.parametrize("bias_preserved, variance_reduced", [(False, True), (True, False), (False, False)])
+    def test_failed_dual_certification(self, bias_preserved, variance_reduced):
+        assert _ensemble(bias_preserved=bias_preserved, variance_reduced=variance_reduced).failures(1e-9) == [
+            "dual ensembling certification failed: bias change -2.000000e-10, variance change 3.000000e-12"
+        ]
+
+    def test_monte_carlo_and_primal_ensembles_are_not_certified(self):
+        assert _ensemble(bias_preserved=None, variance_reduced=None).failures(1e-9) == []

@@ -13,6 +13,7 @@ from bregman_bv import (
     SquaredEuclidean,
     argmin_from,
     argmin_to,
+    certify_means,
     divergence,
     dual_mean,
     expected_divergence_from,
@@ -21,7 +22,7 @@ from bregman_bv import (
     primal_mean,
 )
 from bregman_bv import oracle
-from bregman_bv.oracle import _box_grid_blocks, _simplex_lattice
+from bregman_bv.oracle import CertificationReport, OracleSide, _box_grid_blocks, _simplex_lattice
 from conftest import (
     GENERATOR_NAMES,
     build_generator,
@@ -182,3 +183,42 @@ class TestObjectiveEvaluators:
         from_direct = float(s.weights @ divergence(gen, s.points, z, validate=False))
         assert expected_divergence_to(gen, s, z) == pytest.approx(to_direct, abs=1e-12)
         assert expected_divergence_from(gen, s, z) == pytest.approx(from_direct, abs=1e-12)
+
+
+class TestCertifyMeans:
+    def test_matches_the_primitives(self, gen):
+        rng = np.random.default_rng(77)
+        s = random_sample_set(gen, rng, max_n=4, min_n=2)
+        cfg = OracleConfig(grid_resolution=32)
+        report = certify_means(gen, s, cfg, 1e-5)
+        payload = report.as_dict()
+        assert list(payload) == ["grid_resolution", "tolerance", "primal", "dual"]
+        assert (payload["grid_resolution"], payload["tolerance"]) == (32, 1e-5)
+        for side, analytic, argmin, objective in (
+            (report.primal, primal_mean(s), argmin_from, expected_divergence_from),
+            (report.dual, dual_mean(gen, s), argmin_to, expected_divergence_to),
+        ):
+            found = argmin(gen, s, cfg)
+            assert np.array_equal(side.analytic_point, analytic)
+            assert np.array_equal(side.oracle_point, found)
+            assert side.analytic_objective == objective(gen, s, analytic)
+            assert side.oracle_objective == objective(gen, s, found)
+            assert side.objective_gap == abs(side.analytic_objective - side.oracle_objective)
+        assert list(payload["primal"]) == [
+            "analytic_objective", "oracle_objective", "objective_gap", "analytic_point", "oracle_point",
+        ]
+
+    @pytest.mark.parametrize("worse", ["primal", "dual"])
+    def test_gate_is_the_largest_gap(self, worse):
+        def report(gap):
+            point = np.array([0.5, 0.5])
+            sides = {"primal": 0.0, "dual": 0.0, worse: gap}
+            return CertificationReport(64, 1e-5, *(
+                OracleSide(1.0, 1.0, sides[name], point, point) for name in ("primal", "dual")
+            ))
+
+        assert report(1e-5).failures(1e-5) == []
+        above = float(np.nextafter(1e-5, np.inf))
+        assert report(above).failures(1e-5) == [
+            f"oracle certification failed: objective gap {above:.6e} exceeds 1e-05"
+        ]
