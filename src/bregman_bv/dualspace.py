@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -78,6 +79,13 @@ class SampleSet:
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
 
+    @classmethod
+    def _over(cls, points, weights) -> "SampleSet":
+        """A set over arrays that already hold a set's invariants: no copy, no renormalization."""
+        s = cls.__new__(cls)
+        s.points, s.weights = points, weights
+        return s
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -98,27 +106,53 @@ class GroupedSampleSet:
 
     ``group_weights`` are the mixture weights of the groups (uniform when
     omitted); every group must be nonempty and share one dimension.
+
+    The mixture over all groups is built once, at construction: its rows are
+    the groups' rows in key order, so each group holds one contiguous row
+    range of it, and its weights are ``group_weight * weight`` renormalized.
+    The rows are stored once: each set in ``groups`` keeps the weights it was
+    given, and its points are a view of its rows of the mixture.  Instances
+    are immutable: ``groups`` and ``group_weights`` are read-only mappings and
+    every stored array is read-only.
     """
 
     def __init__(self, groups: Mapping, group_weights=None):
         if not groups:
             raise ValueError("grouped sample set needs at least one group")
-        self.groups = dict(groups)
-        dims = {s.dim for s in self.groups.values()}
-        if len(dims) != 1:
+        keys, sets = list(groups), list(groups.values())
+        if len({s.dim for s in sets}) != 1:
             raise ValueError("all groups must share one dimension")
-        keys = list(self.groups)
         if group_weights is None:
             weights = np.full(len(keys), 1.0 / len(keys))
         else:
             if isinstance(group_weights, Mapping):
                 group_weights = [group_weights[k] for k in keys]
             weights = _normalized(group_weights, len(keys), "groups")
-        self.group_weights = dict(zip(keys, weights))
+        weights.setflags(write=False)
+        self._flat = SampleSet(
+            np.concatenate([s.points for s in sets], axis=0),
+            np.concatenate([w * s.weights for w, s in zip(weights, sets)]),
+        )
+        self._weights = weights
+        self._offsets = np.cumsum([0] + [s.n for s in sets])
+        self._offsets.setflags(write=False)
+        self._rows = tuple(map(slice, self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
+        self._groups = {
+            k: SampleSet._over(self._flat.points[r], s.weights) for k, r, s in zip(keys, self._rows, sets)
+        }
+        self._group_weights = dict(zip(keys, weights))
+
+    @property
+    def groups(self) -> Mapping:
+        return MappingProxyType(self._groups)
+
+    @property
+    def group_weights(self) -> Mapping:
+        return MappingProxyType(self._group_weights)
 
     @property
     def dim(self) -> int:
-        return next(iter(self.groups.values())).dim
+        return self._flat.dim
 
     def keys(self):
         return self.groups.keys()
@@ -127,15 +161,11 @@ class GroupedSampleSet:
         return self.groups.items()
 
     def weight(self, key) -> float:
-        return self.group_weights[key]
+        return self._group_weights[key]
 
     def flatten(self) -> SampleSet:
-        """Mixture distribution over all groups."""
-        points = np.concatenate([s.points for s in self.groups.values()], axis=0)
-        weights = np.concatenate(
-            [self.group_weights[k] * s.weights for k, s in self.groups.items()]
-        )
-        return SampleSet(points, weights)
+        """Mixture distribution over all groups (built once, at construction)."""
+        return self._flat
 
     def __repr__(self) -> str:
         return f"GroupedSampleSet(groups={len(self.groups)}, dim={self.dim})"
@@ -154,6 +184,16 @@ def check_samples(g: ConvexGenerator, s: SampleSet, *, allow_boundary: bool = Fa
     if not np.all(mask):
         bad = np.flatnonzero(~mask).tolist()
         raise DomainError(f"samples {bad} outside the {g.domain.kind} domain")
+
+
+class _GroupedMoments(NamedTuple):
+    """Centers and variances of a grouped sample set on one side of the symmetry."""
+
+    weights: np.ndarray  # (K,) group weights
+    centers: np.ndarray  # (K, d) center of each group
+    within: np.ndarray  # (K,) variance of each group
+    whole_center: np.ndarray  # center of the mixture over all groups
+    total: float  # variance of the mixture
 
 
 class _Side(NamedTuple):
@@ -177,6 +217,45 @@ class _Side(NamedTuple):
         if s.n == 1 or np.all(s.points == s.points[0]):
             return 0.0
         return float(s.weights @ self.spread(g, s.points, self.center(g, s)))
+
+    def grouped(self, g, grouped: GroupedSampleSet) -> _GroupedMoments:
+        """Validate the rows of ``grouped``, then take every center and variance in one pass.
+
+        All rows are mapped to the side's coordinates once.  Each group's
+        center is the dot of its weights with its contiguous row range,
+        mapped back one group at a time: a batched Mahalanobis solve rounds
+        unlike single-row ones.  The spread of every row to its own group's
+        center is one divergence call, and the mixture's center reuses the
+        mapped rows.  Every value is bit-identical to :meth:`center` and
+        :meth:`variance` applied to each group and to ``grouped.flatten()``,
+        exact zeros for constant groups included.
+        """
+        flat = grouped.flatten()
+        check_samples(g, flat, allow_boundary=self.boundary_samples)
+        coords = self.to_coords(g, flat.points)
+        rows, local = grouped._rows, [s.weights for s in grouped.groups.values()]
+        # a one-row group is mapped alone: a one-row matrix product is a BLAS
+        # matrix-vector product, which rounds unlike that row of the batch
+        sums = [w @ (coords[r] if w.size > 1 else self.to_coords(g, flat.points[r]))
+                for r, w in zip(rows, local)]
+        whole_center = self.from_coords(g, flat.weights @ coords)
+        del coords  # freed before the spreads allocate theirs, for peak memory
+        centers = np.asarray([self.from_coords(g, row) for row in sums])
+        starts, sizes = grouped._offsets[:-1], np.diff(grouped._offsets)
+        spread = self.spread(g, flat.points, np.repeat(centers, sizes, axis=0))
+        # moved[i]: where row i differs from row i - 1; a set is constant when no row moved
+        moved = np.zeros(flat.points.shape, dtype=bool)
+        moved[1:] = flat.points[1:] != flat.points[:-1]
+        whole_constant = not moved.any()
+        moved[starts] = False
+        constant = ~np.logical_or.reduceat(moved, starts, axis=0).any(axis=1)
+        within = np.array([
+            0.0 if same else float(w @ spread[r]) for same, r, w in zip(constant, rows, local)
+        ])
+        total = 0.0
+        if not whole_constant:
+            total = float(flat.weights @ self.spread(g, flat.points, whole_center))
+        return _GroupedMoments(grouped._weights, centers, within, whole_center, total)
 
     def average(self, g, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

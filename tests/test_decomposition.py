@@ -1,6 +1,7 @@
 """Decomposition identity, total-variance laws, conditional gaps, ensembling."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,31 @@ class TestTotalVariance:
         with pytest.raises(ValueError):
             total_variance(g, grouped, "mixed")
 
+    @pytest.mark.parametrize("mode", ["primal", "dual"])
+    def test_wrong_dimension_rejected(self, mode):
+        grouped = GroupedSampleSet({"a": SampleSet([[0.0, 1.0], [2.0, 3.0]]), "b": SampleSet([[4.0, 5.0]])})
+        with pytest.raises(DomainError, match=r"^points have dimension 2, generator expects 3$"):
+            total_variance(SquaredEuclidean(3), grouped, mode)
+
+    @pytest.mark.parametrize("mode", ["primal", "dual"])
+    def test_off_domain_points_rejected_without_warnings(self, mode):
+        grouped = GroupedSampleSet({"a": SampleSet([[0.5, 0.6], [0.2, 0.8]]), "b": SampleSet([[-0.1, 1.1]])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^samples \[0, 2\] outside the open-simplex domain$"):
+                total_variance(NegativeEntropySimplex(2), grouped, mode)
+
+    def test_one_hot_labels_accepted_in_primal_mode_only(self):
+        g = NegativeEntropySimplex(2)
+        grouped = GroupedSampleSet(
+            {"a": SampleSet([[1.0, 0.0], [0.0, 1.0]]), "b": SampleSet([[1.0, 0.0]])}, [0.5, 0.5]
+        )
+        report = total_variance(g, grouped, "primal")
+        assert report.unexplained == pytest.approx(0.5 * np.log(2.0), abs=1e-15)
+        assert abs(report.residual) <= 1e-12
+        with pytest.raises(DomainError):
+            total_variance(g, grouped, "dual")
+
 
 class TestConditional:
     def test_single_group_has_no_gap(self, gen):
@@ -472,8 +498,14 @@ class TestGates:
         assert _conditional(gap=-1e-12).failures(1e-9) == []
         for gap in (-float(np.nextafter(1e-12, np.inf)), -2e-12):
             assert _conditional(gap=gap).failures(1e-9) == [
-                "identity violated: residual 0.000000e+00 exceeds 1e-09"
+                f"negative gap: {gap:.6e} is below the -1e-12 floor"
             ]
+
+    def test_conditional_gap_and_residual_are_reported_apart(self):
+        assert _conditional(variance_residual=2e-9, gap=-2e-12).failures(1e-9) == [
+            "identity violated: residual 2.000000e-09 exceeds 1e-09",
+            "negative gap: -2.000000e-12 is below the -1e-12 floor",
+        ]
 
     def test_ensemble_gates_both_decompositions(self):
         assert _ensemble(base=1e-9, ensembled=-1e-9).failures(1e-9) == []

@@ -95,6 +95,24 @@ class TestGroupedSampleSet:
         with pytest.raises(ValueError, match=r"^zero, negative or non-finite weights in groups \[0\]$"):
             GroupedSampleSet({"a": SampleSet([[1.0]])}, [0.0])
 
+    def test_immutable(self):
+        grouped = GroupedSampleSet({"a": SampleSet([[0.0], [2.0]]), "b": SampleSet([[4.0]])})
+        with pytest.raises(TypeError):
+            grouped.groups["c"] = SampleSet([[1.0]])
+        with pytest.raises(TypeError):
+            grouped.group_weights["a"] = 1.0
+        with pytest.raises(AttributeError):
+            grouped.groups = {}
+        flat = grouped.flatten()
+        assert grouped.flatten() is flat
+        with pytest.raises(ValueError):
+            flat.points[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            flat.weights[0] = 1.0
+        with pytest.raises(ValueError):
+            grouped.groups["a"].points[0, 0] = 1.0
+        assert list(grouped.groups.values())[1].points.tolist() == [[4.0]]
+
     def test_overflowing_group_weight_sum(self):
         grouped = GroupedSampleSet(
             {"a": SampleSet([[0.0]]), "b": SampleSet([[4.0]])}, {"a": 1e308, "b": 1.5e308}

@@ -8,6 +8,7 @@ multinomials instead of integer coefficients), so they are held to a
 relative tolerance instead.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -19,6 +20,7 @@ import pytest
 
 import bregman_bv
 from bregman_bv import (
+    GroupedSampleSet,
     SampleSet,
     conditional_label,
     conditional_prediction,
@@ -30,7 +32,8 @@ from bregman_bv import (
     primal_variance,
     total_variance,
 )
-from conftest import random_grouped, random_interior_points, random_sample_set
+from bregman_bv.dualspace import _side
+from conftest import build_generator, random_grouped, random_interior_points, random_sample_set
 
 SEEDS = range(8)
 # lgamma sums over at most n + 1 terms, each within a few ulps
@@ -167,23 +170,66 @@ def test_variances_and_averages_match_mirror_formulas(gen, seed):
     assert np.array_equal(dual_average(gen, s.points), ref_dual_average(gen, s.points))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_total_variance_matches_mirror_formulas(gen, seed):
-    rng = np.random.default_rng(100 + seed)
-    grouped = random_grouped(gen, rng)
+def large_grouped(g, rng, groups=40):
+    """Groups of hundreds of rows, one of them a single row and one constant."""
+    sets = {}
+    for k in range(groups):
+        points = random_interior_points(g, rng, int(rng.integers(100, 400)))
+        if k == 1:
+            points = points[:1]
+        elif k == 2:
+            points = np.repeat(points[:1], len(points), axis=0)
+        sets[f"g{k}"] = SampleSet(points, rng.uniform(0.2, 1.0, size=len(points)))
+    return GroupedSampleSet(sets, rng.uniform(0.2, 1.0, size=groups))
+
+
+def grouped_case(gen, case, base):
+    """A small random grouped set per seed; "large" is a d = 10 set at workload scale."""
+    if case == "large":
+        g = build_generator(gen.name, 10)
+        rng = np.random.default_rng(base + 99)
+        return g, rng, large_grouped(g, rng)
+    rng = np.random.default_rng(base + case)
+    return gen, rng, random_grouped(gen, rng)
+
+
+@pytest.mark.parametrize("case", [*SEEDS, "large"])
+def test_total_variance_matches_mirror_formulas(gen, case):
+    g, _, grouped = grouped_case(gen, case, 100)
     for mode in ("primal", "dual"):
-        assert total_variance(gen, grouped, mode).as_dict() == ref_total_variance(gen, grouped, mode)
+        assert total_variance(g, grouped, mode).as_dict() == ref_total_variance(g, grouped, mode)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_conditional_reports_match_mirror_formulas(gen, seed):
-    rng = np.random.default_rng(200 + seed)
-    grouped = random_grouped(gen, rng)
-    point = random_interior_points(gen, rng, 1)[0]
-    got = conditional_prediction(gen, point, grouped).as_dict()
-    assert got == ref_conditional_prediction(gen, point, grouped)
-    got = conditional_label(gen, grouped, point).as_dict()
-    assert got == ref_conditional_label(gen, grouped, point)
+@pytest.mark.parametrize("case", [*SEEDS, "large"])
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_grouped_moments_match_mirror_formulas(gen, case, mode):
+    """The one-pass centers and variances behind both grouped reports, field by field.
+
+    A one-ulp change in one center can round away in a report's sums, so
+    they are compared here before any sum is taken.
+    """
+    g, _, grouped = grouped_case(gen, case, 400)
+    moments = _side(mode).grouped(g, grouped)
+    mean, variance = (
+        (ref_primal_mean, ref_primal_variance) if mode == "primal"
+        else (functools.partial(ref_dual_mean, g), ref_dual_variance)
+    )
+    sets = list(grouped.groups.values())
+    assert np.array_equal(moments.centers, [mean(s) for s in sets])
+    assert moments.within.tolist() == [variance(g, s) for s in sets]
+    assert np.array_equal(moments.whole_center, mean(grouped.flatten()))
+    assert moments.total == variance(g, grouped.flatten())
+    assert moments.weights.tolist() == [grouped.weight(k) for k in grouped.keys()]
+
+
+@pytest.mark.parametrize("case", [*SEEDS, "large"])
+def test_conditional_reports_match_mirror_formulas(gen, case):
+    g, rng, grouped = grouped_case(gen, case, 200)
+    point = random_interior_points(g, rng, 1)[0]
+    got = conditional_prediction(g, point, grouped).as_dict()
+    assert got == ref_conditional_prediction(g, point, grouped)
+    got = conditional_label(g, grouped, point).as_dict()
+    assert got == ref_conditional_label(g, grouped, point)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
