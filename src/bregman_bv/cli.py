@@ -12,6 +12,7 @@ Heavy numeric imports happen inside the handlers so that the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -21,9 +22,10 @@ import sys
 
 from .errors import DomainError, EnumerationCapError, InversionError
 
-__all__ = ["ingest", "emit_samples", "emit_divergence_field", "build_parser", "main"]
+__all__ = ["ingest", "emit_samples", "emit_divergence_field", "render_json"]
 
-_INPUT_ERRORS = (DomainError, InversionError, EnumerationCapError, ValueError, OSError)
+# MemoryError: numpy cannot allocate the arrays an option or file asks for
+_INPUT_ERRORS = (DomainError, InversionError, EnumerationCapError, ValueError, OSError, MemoryError)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +137,19 @@ def _csv_header(path, reader):
     return None if header is None else [h.strip() for h in header]
 
 
+@contextlib.contextmanager
+def _open_csv(path):
+    """A CSV file opened for the csv module; a byte that is not UTF-8 is an error naming it."""
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_csv(path, group_column):
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = _csv_header(path, reader)
         if header is None:
@@ -527,7 +539,7 @@ def _has_group_column(path, group_col) -> bool:
     """
     if not group_col or str(path).lower().endswith(".json"):
         return False
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open_csv(path) as fh:
         return group_col in (_csv_header(path, csv.reader(fh)) or [])
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "primal_average",
     "dual_average",
     "ensemble_distribution",
+    "ENSEMBLE_ATOM_CAP",
 ]
 
 ENSEMBLE_ATOM_CAP = 1_000_000

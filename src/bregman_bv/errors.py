@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["DomainError", "InversionError", "EnumerationCapError"]
+
 
 class DomainError(ValueError):
     """A point violates the domain a generator is defined on."""

@@ -109,7 +109,8 @@ class OpenBox(Domain):
             inside = (x >= self.lowers) & (x <= self.uppers)
         else:
             inside = (x > self.lowers) & (x < self.uppers)
-        return np.all(inside & np.isfinite(x), axis=-1)
+        # the bounds are finite, so NaN and infinite coordinates fail both comparisons
+        return np.all(inside, axis=-1)
 
 
 class OpenSimplex(Domain):
@@ -131,10 +132,10 @@ class OpenSimplex(Domain):
             positive = np.all(x >= 0.0, axis=-1)
         else:
             positive = np.all(x > 0.0, axis=-1)
-        # a sum beyond the float range is off the plane, not a warning
+        # NaN fails the sign test; +inf, or a sum beyond the float range, is off the plane
         with np.errstate(over="ignore", invalid="ignore"):
             on_plane = np.abs(np.sum(x, axis=-1) - 1.0) <= self.sum_tolerance
-        return positive & on_plane & np.all(np.isfinite(x), axis=-1)
+        return positive & on_plane
 
     def validate_second(self, x):
         self.validate(x, role="second divergence argument")
@@ -227,12 +228,15 @@ class Mahalanobis(ConvexGenerator):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("Mahalanobis matrix must be square")
-        scale = max(1.0, float(np.max(np.abs(matrix))))
-        if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12 * scale):
-            raise ValueError("Mahalanobis matrix must be symmetric")
-        matrix = 0.5 * (matrix + matrix.T)
-        if not np.all(np.isfinite(matrix)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # not finite where an entry is not, or where a sum or difference overflows
+            doubled = matrix + matrix.T
+            skew = np.abs(matrix - matrix.T)
+        if not np.all(np.isfinite(doubled)):
             raise ValueError("Mahalanobis matrix must be finite")
+        if not np.all(skew <= 1e-12 * max(1.0, float(np.max(np.abs(matrix))))):
+            raise ValueError("Mahalanobis matrix must be symmetric")
+        matrix = 0.5 * doubled
         try:
             np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError as exc:
@@ -429,7 +433,7 @@ def make_generator(spec) -> ConvexGenerator:
         if "matrix" in spec:
             matrix = spec["matrix"]
         elif "matrix_file" in spec:
-            matrix = np.loadtxt(spec["matrix_file"], delimiter=",", ndmin=2)
+            matrix = _read_matrix(spec["matrix_file"])
         else:
             raise ValueError("mahalanobis spec needs 'matrix' or 'matrix_file'")
         return Mahalanobis(matrix)
@@ -440,6 +444,19 @@ def make_generator(spec) -> ConvexGenerator:
             raise ValueError("separable-custom spec needs 'pieces'")
         return SeparableCustom(spec["pieces"])
     raise ValueError(f"unknown generator {kind!r}; expected one of {_CONFIG_GENERATORS}")
+
+
+def _read_matrix(path):
+    """The matrix in a headerless CSV file, as ``np.loadtxt`` reads it; errors name the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        # loadtxt only warns, and returns no rows, when no line holds a cell
+        if not any(line.split("#", 1)[0].strip() for line in lines):
+            raise ValueError("no matrix rows")
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a decode error too
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _require_dim(spec) -> int:

@@ -912,3 +912,121 @@ class TestExitCodes:
                      "--labels", fx("labels_euclid.csv"),
                      "--predictions", fx("preds_euclid.csv")]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, call", [
+        ("field", "bregman_bv.cli.emit_divergence_field"),
+        ("ensemble", "bregman_bv.decomposition.ensemble_effect"),
+    ])
+    def test_allocation_failure_is_input_error(self, monkeypatch, capsys, command, call):
+        # raised, not provoked: a real allocation this size could fill an overcommitting host
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) and data type float64"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(call, fail)
+        assert main(README_ARGV[command]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, options", [
+        ("decompose", []),
+        ("conditional", ["--group-col", "z"]),
+    ])
+    def test_non_utf8_csv_names_the_file(self, tmp_path, capsys, command, options):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x0,x1,z\n1,2,\xff\n")
+        code = main([command, "--generator", "squared-euclidean", "--dim", "2", "--labels", str(path),
+                     "--predictions", fx("point_euclid.csv"), *options])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("content, message", [
+        (b"", "no matrix rows"),
+        (b"\n\n", "no matrix rows"),
+        (b"  \n# a comment\n", "no matrix rows"),
+        (b"2,0\n0,a\n", "could not convert string 'a' to float64 at row 1, column 2."),
+        (b"2,0\n0\n", "the number of columns changed from 2 to 1 at row 2; "
+                      "use `usecols` to select a subset and avoid this error"),
+        (b"2,\xff\n0,1\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ], ids=["empty", "blank-lines", "blank-and-comment", "text-cell", "ragged", "not-utf8"])
+    def test_matrix_file_errors_name_the_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "A.csv"
+        path.write_bytes(content)
+        code = main(["check", "--generator", "mahalanobis", "--matrix-file", str(path),
+                     "--predictions", fx("preds_euclid.csv")])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def _input_error(case_id, argv, message, files=(), env=()):
+    """A CLI run that must exit 1; a name in ``files`` stands for that file, written to a temp dir."""
+    return pytest.param(argv, message, dict(files), dict(env), id=case_id)
+
+
+_EUCLID = ["--generator", "squared-euclidean", "--dim", "2"]
+_FIELD = ["field", *_EUCLID, "--center=0,0"]
+
+
+@pytest.mark.parametrize("argv, message, files, env", [
+    _input_error("header-only", ["decompose", *_EUCLID, "--labels", "h.csv", "--predictions", "h.csv"],
+                 "h.csv: no data rows", {"h.csv": "x0,x1\n"}),
+    _input_error("empty-csv", ["decompose", *_EUCLID, "--labels", "e.csv", "--predictions", "e.csv"],
+                 "e.csv: empty file", {"e.csv": ""}),
+    _input_error("no-group-column", ["total-variance", *_EUCLID, "--labels", "g.csv", "--group-col", "q",
+                                     "--mode", "primal"],
+                 "g.csv: no column named 'q'", {"g.csv": "x0,x1,z\n1,2,a\n"}),
+    _input_error("json-not-object", ["decompose", *_EUCLID, "--labels", "l.json", "--predictions", "l.json"],
+                 "l.json: JSON input must be an object with a 'points' array", {"l.json": "[[1, 2]]"}),
+    _input_error("json-points-not-rows", ["decompose", *_EUCLID, "--labels", "l.json", "--predictions", "l.json"],
+                 "l.json: 'points' must be an array of coordinate rows", {"l.json": '{"points": [1, 2]}'}),
+    _input_error("json-weights-length", ["decompose", *_EUCLID, "--labels", "l.json", "--predictions", "l.json"],
+                 "l.json: weights length 2 != points length 1",
+                 {"l.json": '{"points": [[1, 2]], "weights": [1, 2]}'}),
+    _input_error("json-groups-length", ["total-variance", *_EUCLID, "--labels", "l.json", "--mode", "primal"],
+                 "l.json: groups length 2 != points length 1",
+                 {"l.json": '{"points": [[1, 2]], "groups": ["a", "b"]}'}),
+    _input_error("disk-radius", [*_FIELD, "--region", "disk", "--radius=0"], "disk radius must be positive"),
+    _input_error("bounds-dimension", [*_FIELD, "--region", "box", "--lo=-1,-1,-1", "--hi=1,1,1"],
+                 "region bounds must have dimension 2"),
+    _input_error("lo-not-below-hi", [*_FIELD, "--region", "box", "--lo=1,-1", "--hi=1,1"],
+                 "region needs lo < hi in every coordinate"),
+    _input_error("resolution", [*_FIELD, "--region", "box", "--lo=-1,-1", "--hi=1,1", "--resolution", "0"],
+                 "resolution must be >= 1"),
+    _input_error("box-corners", [*_FIELD, "--region", "box", "--lo=-1,-1"], "box region needs --lo and --hi"),
+    _input_error("disk-radius-missing", [*_FIELD, "--region", "disk"], "disk region needs --radius"),
+    _input_error("matrix-file-missing", ["check", "--generator", "mahalanobis", "--labels", "p.csv"],
+                 "mahalanobis needs --matrix-file", {"p.csv": "x0,x1\n1,2\n"}),
+    _input_error("grouped-predictions", ["decompose", *_EUCLID, "--labels", "p.csv",
+                                         "--predictions", fx("preds_grouped.json")],
+                 "predictions must be an ungrouped sample file here", {"p.csv": "x0,x1\n1,2\n"}),
+    _input_error("label-not-one-row", ["ensemble", *_EUCLID, "--labels", fx("labels_euclid.csv"),
+                                       "--predictions", fx("preds_euclid.csv"), "--mode", "primal",
+                                       "--ensemble-n", "2"],
+                 "labels must contain exactly one row (deterministic side), got 3"),
+    _input_error("check-no-file", ["check", *_EUCLID],
+                 "check takes exactly one sample file (--labels or --predictions)"),
+    _input_error("check-two-files", ["check", *_EUCLID, "--labels", "p.csv", "--predictions", "p.csv"],
+                 "check takes exactly one sample file (--labels or --predictions)", {"p.csv": "x0,x1\n1,2\n"}),
+    _input_error("total-variance-two-files", ["total-variance", *_EUCLID, "--labels", "p.csv",
+                                              "--predictions", "p.csv", "--mode", "primal"],
+                 "total-variance takes exactly one grouped file (--labels or --predictions)",
+                 {"p.csv": "x0,x1\n1,2\n"}),
+    _input_error("total-variance-ungrouped", ["total-variance", *_EUCLID, "--labels", "p.csv", "--mode", "primal"],
+                 "total-variance needs grouped input; pass --group-col or JSON groups", {"p.csv": "x0,x1\n1,2\n"}),
+    _input_error("thread-cap-not-integer", ["decompose", *_EUCLID, "--labels", fx("labels_euclid.csv"),
+                                            "--predictions", fx("preds_euclid.csv")],
+                 "BREGMAN_BV_THREADS must be a nonnegative integer", env={"BREGMAN_BV_THREADS": "two"}),
+])
+def test_input_error_exits_one(tmp_path, monkeypatch, capsys, argv, message, files, env):
+    paths = {name: str(tmp_path / name) for name in files}
+    for name, text in files.items():
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    argv = [paths.get(arg, arg) for arg in argv]
+    for name, path in paths.items():
+        message = message.replace(name, path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -9,6 +9,7 @@ from bregman_bv import (
     InversionError,
     Mahalanobis,
     NegativeEntropySimplex,
+    OpenBox,
     OpenSimplex,
     SeparableCustom,
     SquaredEuclidean,
@@ -49,10 +50,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive definite"):
             Mahalanobis([[1.0, 2.0], [2.0, 1.0]])
 
-    @pytest.mark.parametrize("matrix", [[[np.inf, 0.0], [0.0, 1.0]], [[1e308, 0.0], [0.0, 1e308]]])
+    @pytest.mark.parametrize("matrix", [
+        [[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1e308, 0.0], [0.0, 1e308]],
+    ])
     def test_rejects_non_finite(self, matrix):
         # overflow in the symmetrization counts as non-finite too
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             Mahalanobis(matrix)
 
     def test_rejects_asymmetric(self):
@@ -76,6 +79,41 @@ class TestConstruction:
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="unknown generator"):
             make_generator({"generator": "huber"})
+
+
+def _contains_with_finiteness(domain, x, allow_boundary):
+    """Membership with an explicit finiteness test, which the domains leave to their comparisons."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(domain, OpenBox):
+            above = x >= domain.lowers if allow_boundary else x > domain.lowers
+            below = x <= domain.uppers if allow_boundary else x < domain.uppers
+            inside = np.all(above & below, axis=-1)
+        else:
+            positive = np.all(x >= 0.0 if allow_boundary else x > 0.0, axis=-1)
+            inside = positive & (np.abs(np.sum(x, axis=-1) - 1.0) <= domain.sum_tolerance)
+    return inside & np.all(np.isfinite(x), axis=-1)
+
+
+class TestDomains:
+    SPECIALS = [np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, 1.0]
+
+    @pytest.mark.parametrize("allow_boundary", [False, True])
+    @pytest.mark.parametrize("domain", [OpenBox([-1.0, 0.0, 2.0], [1.0, 1e308, 3.0]), OpenSimplex(3)],
+                             ids=["box", "simplex"])
+    def test_non_finite_rows_are_outside(self, domain, allow_boundary):
+        rng = np.random.default_rng(31)
+        n = 20_000
+        if isinstance(domain, OpenBox):
+            x = rng.uniform(domain.lowers, domain.uppers, size=(n, 3))
+            pool = np.concatenate([self.SPECIALS, domain.lowers, domain.uppers])
+        else:
+            x = rng.dirichlet(np.ones(3), size=n)
+            pool = np.array(self.SPECIALS + [0.5])
+        swap = rng.random((n, 3)) < 0.3
+        x[swap] = rng.choice(pool, size=int(swap.sum()))
+        inside = domain.contains(x, allow_boundary=allow_boundary)
+        assert np.array_equal(inside, _contains_with_finiteness(domain, x, allow_boundary))
+        assert 0 < np.sum(inside) < n
 
 
 class TestDivergence:
