@@ -139,12 +139,29 @@ def _csv_header(path, reader):
 
 @contextlib.contextmanager
 def _open_csv(path):
-    """A CSV file opened for the csv module; a byte that is not UTF-8 is an error naming it."""
+    """A CSV file opened as text; a byte that is not UTF-8 is an error naming it."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_mahalanobis(path):
+    """The Mahalanobis generator of a headerless CSV matrix, opened like a sample CSV; errors name the file."""
+    import numpy as np
+
+    from .generators import Mahalanobis
+
+    with _open_csv(path) as fh:
+        lines = fh.readlines()
+    try:
+        # loadtxt only warns, and returns no rows, when no line holds a cell
+        if not any(line.split("#", 1)[0].strip() for line in lines):
+            raise ValueError("no matrix rows")
+        return Mahalanobis(np.loadtxt(lines, delimiter=",", ndmin=2))
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -477,15 +494,15 @@ def _add_common_args(p, tolerance=1e-9):
 
 
 def _generator_from_args(args):
-    from .generators import make_generator
+    from .generators import NegativeEntropySimplex, SquaredEuclidean
 
     if args.generator == "mahalanobis":
         if not args.matrix_file:
             raise ValueError("mahalanobis needs --matrix-file")
-        return make_generator({"generator": "mahalanobis", "matrix_file": args.matrix_file})
+        return _read_mahalanobis(args.matrix_file)
     if args.dim is None:
         raise ValueError(f"{args.generator} needs --dim")
-    return make_generator({"generator": args.generator, "dim": args.dim})
+    return (SquaredEuclidean if args.generator == "squared-euclidean" else NegativeEntropySimplex)(args.dim)
 
 
 def _require_plain(sample_set, what):

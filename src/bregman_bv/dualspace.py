@@ -61,11 +61,16 @@ class SampleSet:
     """Weighted finite collection of points: an empirical distribution.
 
     Weights must be positive and are normalized to sum to one.  Points are
-    stored as a read-only ``(n, d)`` array; instances are immutable.
+    stored as a read-only ``(n, d)`` array that the set owns: a caller's
+    float array is copied, so it stays writable and later writes to it never
+    reach the set.  Instances are immutable.
     """
 
     def __init__(self, points, weights=None):
+        given = points
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if isinstance(given, np.ndarray) and np.may_share_memory(points, given):
+            points = points.copy()
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
             raise ValueError("points must form a nonempty (n, d) array")
         bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1)).tolist()

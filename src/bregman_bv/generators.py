@@ -33,7 +33,6 @@ __all__ = [
     "NegativeEntropySimplex",
     "Piece",
     "SeparableCustom",
-    "make_generator",
     "divergence",
     "dual_divergence",
     "TriangleExpansion",
@@ -408,62 +407,6 @@ class SeparableCustom(ConvexGenerator):
                 )
             )
         return np.stack(np.broadcast_arrays(*cols), axis=-1)
-
-
-_CONFIG_GENERATORS = ("squared-euclidean", "mahalanobis", "negative-entropy-simplex", "separable-custom")
-
-
-def make_generator(spec) -> ConvexGenerator:
-    """Build a generator from a config mapping.
-
-    Accepted forms::
-
-        {"generator": "squared-euclidean", "dim": 2}
-        {"generator": "mahalanobis", "matrix": [[2, 0], [0, 1]]}
-        {"generator": "mahalanobis", "matrix_file": "A.csv"}   # CSV, no header
-        {"generator": "negative-entropy-simplex", "dim": 2}
-        {"generator": "separable-custom", "pieces": [(f, fp, lo, hi), ...]}
-    """
-    if not isinstance(spec, dict):
-        raise ValueError("generator spec must be a mapping with a 'generator' key")
-    kind = spec.get("generator")
-    if kind == "squared-euclidean":
-        return SquaredEuclidean(_require_dim(spec))
-    if kind == "mahalanobis":
-        if "matrix" in spec:
-            matrix = spec["matrix"]
-        elif "matrix_file" in spec:
-            matrix = _read_matrix(spec["matrix_file"])
-        else:
-            raise ValueError("mahalanobis spec needs 'matrix' or 'matrix_file'")
-        return Mahalanobis(matrix)
-    if kind == "negative-entropy-simplex":
-        return NegativeEntropySimplex(_require_dim(spec))
-    if kind == "separable-custom":
-        if "pieces" not in spec:
-            raise ValueError("separable-custom spec needs 'pieces'")
-        return SeparableCustom(spec["pieces"])
-    raise ValueError(f"unknown generator {kind!r}; expected one of {_CONFIG_GENERATORS}")
-
-
-def _read_matrix(path):
-    """The matrix in a headerless CSV file, as ``np.loadtxt`` reads it; errors name the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        # loadtxt only warns, and returns no rows, when no line holds a cell
-        if not any(line.split("#", 1)[0].strip() for line in lines):
-            raise ValueError("no matrix rows")
-        return np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:  # a decode error too
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _require_dim(spec) -> int:
-    dim = spec.get("dim")
-    if dim is None or int(dim) != dim or int(dim) <= 0:
-        raise ValueError("generator spec needs a positive integer 'dim'")
-    return int(dim)
 
 
 def divergence(g: ConvexGenerator, y, x, *, validate: bool = True):

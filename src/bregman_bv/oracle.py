@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _Report
-from .dualspace import SampleSet, _compositions, dual_mean, primal_mean
+from .dualspace import SampleSet, _compositions, check_samples, dual_mean, primal_mean
 from .errors import DomainError
 from .generators import ConvexGenerator, FullSpace, OpenBox, OpenSimplex
 
@@ -239,12 +239,14 @@ def argmin_to(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig | None = None)
     not argument locations, to tolerate flat regions near the optimum.
     """
     cfg = cfg or OracleConfig()
+    check_samples(g, s)
     return _argmin(g, s, cfg, _objective_to(g, s))
 
 
 def argmin_from(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig | None = None):
     """Brute-force minimizer of z -> sum_i w_i D(x_i, z); reference for the primal mean."""
     cfg = cfg or OracleConfig()
+    check_samples(g, s)
     return _argmin(g, s, cfg, _objective_from(g, s))
 
 
@@ -277,15 +279,16 @@ class CertificationReport(_Report):
 
 def certify_means(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, tolerance: float):
     """Certify the primal and dual means of ``s`` by the objective values the oracles attain."""
+    check_samples(g, s)
     sides = []
     # the primal mean minimizes E D(X, z), the dual mean E D(z, X)
-    for analytic, argmin, objective in (
-        (primal_mean(s), argmin_from, expected_divergence_from),
-        (dual_mean(g, s), argmin_to, expected_divergence_to),
+    for analytic, objective in (
+        (primal_mean(s), _objective_from(g, s)),
+        (dual_mean(g, s), _objective_to(g, s)),
     ):
-        found = argmin(g, s, cfg)
-        analytic_objective = objective(g, s, analytic)
-        oracle_objective = objective(g, s, found)
+        found = _argmin(g, s, cfg, objective)
+        analytic_objective = float(objective(analytic)[0])
+        oracle_objective = float(objective(found)[0])
         gap = abs(analytic_objective - oracle_objective)
         sides.append(OracleSide(analytic_objective, oracle_objective, gap, analytic, found))
     return CertificationReport(cfg.grid_resolution, tolerance, *sides)

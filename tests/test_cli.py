@@ -100,6 +100,27 @@ class TestIngest:
         assert main(argv + ["--out", str(tmp_path / "marked.json")]) == 0
         assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
+    def test_matrix_file_loading(self, tmp_path):
+        path = tmp_path / "A.csv"
+        path.write_text("2,0\n0,1\n")
+        assert cli._read_mahalanobis(str(path)).matrix.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+        assert np.array_equal(cli._read_mahalanobis(fx("matrix3.csv")).matrix,
+                              np.loadtxt(fx("matrix3.csv"), delimiter=","))
+
+    @pytest.mark.parametrize("variant", [
+        lambda text: b"\xef\xbb\xbf" + text,
+        lambda text: text.replace(b"\n", b"\r\n"),
+        lambda text: text.replace(b"\n", b"\r"),
+    ], ids=["byte-order-mark", "crlf", "cr-only"])
+    def test_matrix_file_encodings_give_the_same_report(self, tmp_path, variant):
+        path = tmp_path / "matrix3.csv"
+        path.write_bytes(variant(Path(fx("matrix3.csv")).read_bytes()))
+        out = tmp_path / "check.json"
+        assert main(["check", "--generator", "mahalanobis", "--matrix-file", str(path),
+                     "--labels", fx("check_mahalanobis3.csv"), "--grid-resolution", "64",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "expected" / "check_mahalanobis3.json").read_bytes()
+
     def test_json_groups(self):
         grouped = ingest(fx("preds_grouped.json"))
         assert isinstance(grouped, GroupedSampleSet)
@@ -950,7 +971,12 @@ class TestExitCodes:
         (b"2,0\n0\n", "the number of columns changed from 2 to 1 at row 2; "
                       "use `usecols` to select a subset and avoid this error"),
         (b"2,\xff\n0,1\n", "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
-    ], ids=["empty", "blank-lines", "blank-and-comment", "text-cell", "ragged", "not-utf8"])
+        (b"1,0.5\n0,1\n", "Mahalanobis matrix must be symmetric"),
+        (b"1,2\n2,1\n", "Mahalanobis matrix must be positive definite"),
+        (b"1e400,0\n0,1\n", "Mahalanobis matrix must be finite"),
+        (b"1,0,0\n0,1,0\n", "Mahalanobis matrix must be square"),
+    ], ids=["empty", "blank-lines", "blank-and-comment", "text-cell", "ragged", "not-utf8",
+            "asymmetric", "not-positive-definite", "overflowing-cell", "not-square"])
     def test_matrix_file_errors_name_the_file(self, tmp_path, capsys, content, message):
         path = tmp_path / "A.csv"
         path.write_bytes(content)
@@ -958,6 +984,19 @@ class TestExitCodes:
                      "--predictions", fx("preds_euclid.csv")])
         assert code == 1
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("generator", ["huber", "separable-custom"])
+    def test_unknown_generator_is_usage_error(self, capsys, generator):
+        code = main(["decompose", "--generator", generator, "--dim", "2",
+                     "--labels", fx("labels_euclid.csv"), "--predictions", fx("preds_euclid.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            f"bregman-bv decompose: error: argument --generator: invalid choice: '{generator}'"
+        )
 
 
 def _input_error(case_id, argv, message, files=(), env=()):
@@ -996,6 +1035,12 @@ _FIELD = ["field", *_EUCLID, "--center=0,0"]
                  "resolution must be >= 1"),
     _input_error("box-corners", [*_FIELD, "--region", "box", "--lo=-1,-1"], "box region needs --lo and --hi"),
     _input_error("disk-radius-missing", [*_FIELD, "--region", "disk"], "disk region needs --radius"),
+    *(_input_error(f"{family}-dim{dim}", ["decompose", "--generator", family, "--dim", dim,
+                                          "--labels", fx("labels_euclid.csv"), "--predictions", fx("preds_euclid.csv")],
+                   message)
+      for family, message in (("squared-euclidean", "domain dimension must be a positive integer"),
+                              ("negative-entropy-simplex", "the simplex generator needs dimension >= 2"))
+      for dim in ("0", "-1")),
     _input_error("matrix-file-missing", ["check", "--generator", "mahalanobis", "--labels", "p.csv"],
                  "mahalanobis needs --matrix-file", {"p.csv": "x0,x1\n1,2\n"}),
     _input_error("grouped-predictions", ["decompose", *_EUCLID, "--labels", "p.csv",

@@ -72,6 +72,22 @@ class TestSampleSet:
         assert s.weights.tolist() == [0.5, 0.5]
         assert decompose(SquaredEuclidean(2), s, s).expected_loss == pytest.approx(4.0, rel=1e-15)
 
+    @pytest.mark.parametrize("rows", [slice(None), slice(None, None, 2), 0],
+                             ids=["array", "strided-view", "one-row"])
+    def test_owns_its_points(self, rows):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
+        w = np.array([1.0, 2.0, 3.0])
+        s = SampleSet(a[rows], np.atleast_1d(w[rows]))
+        kept = s.points.copy(), s.weights.copy()
+        assert a.flags.writeable and w.flags.writeable
+        a[...] = np.nan
+        w[...] = np.nan
+        assert np.array_equal(s.points, kept[0]) and np.array_equal(s.weights, kept[1])
+        # the points of another set are copied too: the copy is the new set's own
+        t = SampleSet(s.points)
+        assert not np.may_share_memory(t.points, s.points) and not s.points.flags.writeable
+        assert not t.points.flags.writeable
+
     def test_immutable(self):
         s = SampleSet([[1.0, 0.0]])
         with pytest.raises(ValueError):

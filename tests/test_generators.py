@@ -16,7 +16,6 @@ from bregman_bv import (
     divergence,
     dual_divergence,
     fd_gradient,
-    make_generator,
     triangle_expansion,
 )
 from conftest import GENERATOR_NAMES, build_generator, fig_2b_generator, random_interior_points
@@ -27,11 +26,11 @@ KL_HALF_TO_82 = 0.2231435513142097
 
 class TestConstruction:
     def test_squared_euclidean_gradient(self):
-        g = make_generator({"generator": "squared-euclidean", "dim": 2})
+        g = SquaredEuclidean(2)
         assert np.allclose(g.grad(np.array([3.0, 4.0])), [6.0, 8.0])
 
     def test_entropy_value_at_uniform(self):
-        g = make_generator({"generator": "negative-entropy-simplex", "dim": 2})
+        g = NegativeEntropySimplex(2)
         assert g.value(np.array([0.5, 0.5])) == pytest.approx(-np.log(2.0), abs=1e-15)
 
     def test_fig_2b_generator(self):
@@ -39,12 +38,6 @@ class TestConstruction:
         grad = g.grad(np.array([0.5, 0.5]))
         assert grad[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert grad[1] == pytest.approx(0.5 / 0.9375, abs=1e-12)
-
-    def test_matrix_file_loading(self, tmp_path):
-        path = tmp_path / "A.csv"
-        path.write_text("2,0\n0,1\n")
-        g = make_generator({"generator": "mahalanobis", "matrix_file": str(path)})
-        assert np.allclose(g.matrix, [[2.0, 0.0], [0.0, 1.0]])
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -75,10 +68,6 @@ class TestConstruction:
     def test_rejects_non_convex_piece(self):
         with pytest.raises(ValueError, match="not strictly convex"):
             SeparableCustom([(lambda t: -(t**2), lambda t: -2.0 * t, -1.0, 1.0)])
-
-    def test_unknown_generator(self):
-        with pytest.raises(ValueError, match="unknown generator"):
-            make_generator({"generator": "huber"})
 
 
 def _contains_with_finiteness(domain, x, allow_boundary):

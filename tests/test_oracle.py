@@ -173,6 +173,17 @@ class TestArgmin:
         assert np.array_equal(argmin_to(gen, s, cfg), argmin_to(gen, s, cfg))
         assert np.array_equal(argmin_from(gen, s, cfg), argmin_from(gen, s, cfg))
 
+    @pytest.mark.parametrize("g, points, message", [
+        (SquaredEuclidean(3), [[0.0, 1.0], [1.0, 0.0]], "points have dimension 2, generator expects 3"),
+        (NegativeEntropySimplex(2), [[1.2, -0.2], [0.5, 0.5]], r"samples \[0\] outside the open-simplex domain"),
+    ], ids=["dimension", "off-simplex"])
+    def test_samples_are_validated(self, g, points, message):
+        s, cfg = SampleSet(points), OracleConfig(grid_resolution=8)
+        for call in (lambda: argmin_to(g, s, cfg), lambda: argmin_from(g, s, cfg),
+                     lambda: certify_means(g, s, cfg, 1e-5)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
+
 
 class TestObjectiveEvaluators:
     def test_match_weighted_divergence_sums(self, gen):

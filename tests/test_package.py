@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import bregman_bv
 
@@ -15,7 +16,7 @@ PUBLIC_NAMES = [
     "argmin_to", "certify_means", "check_samples", "conditional_label", "conditional_prediction",
     "decompose", "divergence", "dual_average", "dual_divergence", "dual_mean", "dual_variance",
     "emit_divergence_field", "emit_samples", "ensemble_distribution", "ensemble_effect",
-    "expected_divergence_from", "expected_divergence_to", "fd_gradient", "ingest", "make_generator",
+    "expected_divergence_from", "expected_divergence_to", "fd_gradient", "ingest",
     "primal_average", "primal_mean", "primal_variance", "render_json", "total_variance",
     "triangle_expansion",
 ]
@@ -51,3 +52,17 @@ def test_package_and_cli_import_without_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "[]\n"
     assert result.stderr == ""
+
+
+def test_readme_quick_start_holds(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    capsys.readouterr()
+    # what the quick start's comments say
+    report, effect = namespace["report"], namespace["effect"]
+    assert report.identity_residual == 0.0
+    assert report.failures(1e-9) == []
+    assert abs(effect.bias_change) <= 1e-15
+    assert effect.variance_change < 0
