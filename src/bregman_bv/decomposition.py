@@ -23,11 +23,7 @@ from .dualspace import (
     SampleSet,
     _side,
     check_samples,
-    dual_mean,
-    dual_variance,
     ensemble_distribution,
-    primal_mean,
-    primal_variance,
 )
 from .errors import DomainError
 from .generators import ConvexGenerator, divergence
@@ -164,8 +160,8 @@ def decompose(g: ConvexGenerator, labels: SampleSet, predictions: SampleSet) -> 
     """
     check_samples(g, labels, allow_boundary=True)
     check_samples(g, predictions)
-    central_label = primal_mean(labels)
-    center = primal_mean(predictions)  # inside the domain: the domains are convex and open
+    central_label = _PRIMAL.center(g, labels)
+    center = _PRIMAL.center(g, predictions)  # inside the domain: the domains are convex and open
     with np.errstate(over="ignore", invalid="ignore"):
         mean_grad = predictions.weights @ g.grad(predictions.points)
         cross = np.sum((g.grad(center) - mean_grad) * (central_label - center))
@@ -176,10 +172,11 @@ def decompose(g: ConvexGenerator, labels: SampleSet, predictions: SampleSet) -> 
         )
     if not np.isfinite(expected_loss):
         raise DomainError("divergence overflowed near the domain boundary")
-    bayes_error = primal_variance(g, labels)
-    central_prediction = dual_mean(g, predictions)
+    # each moment once: the variances are taken around the centers computed above
+    bayes_error = _PRIMAL.variance(g, labels, central_label)
+    central_prediction = g.grad_conj(mean_grad)
     bias = float(divergence(g, central_label, central_prediction))
-    model_variance = dual_variance(g, predictions)
+    model_variance = _DUAL.variance(g, predictions, central_prediction)
     residual = expected_loss - (bayes_error + bias + model_variance)
     return DecompositionReport(
         expected_loss=expected_loss,

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, EnumerationCapError
-from .generators import ConvexGenerator, divergence
+from .generators import ConvexGenerator, FullSpace, divergence
 
 __all__ = [
     "SampleSet",
@@ -57,13 +57,32 @@ def _normalized(weights, n: int, what: str):
     return weights / total
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` that numpy will not make writable again.
+
+    numpy makes a view writable when any array under it is writable, or when
+    its data sit in an outside buffer (as an unpickled array's may); so every
+    array under ``a`` is made read-only, and data in a buffer are copied.
+    """
+    chain = [a]
+    while isinstance(chain[-1].base, np.ndarray):
+        chain.append(chain[-1].base)
+    if chain[-1].base is not None:
+        chain = [a.copy()]
+    for array in chain:
+        array.setflags(write=False)
+    return chain[0].view()
+
+
 class SampleSet:
     """Weighted finite collection of points: an empirical distribution.
 
     Weights must be positive and are normalized to sum to one.  Points are
     stored as a read-only ``(n, d)`` array that the set owns: a caller's
     float array is copied, so it stays writable and later writes to it never
-    reach the set.  Instances are immutable.
+    reach the set.  Instances are immutable: points and weights are
+    read-only views of read-only arrays, which numpy will not make writable
+    again, and a pickled or copied set comes back frozen the same way.
     """
 
     def __init__(self, points, weights=None):
@@ -73,24 +92,26 @@ class SampleSet:
             points = points.copy()
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
             raise ValueError("points must form a nonempty (n, d) array")
-        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1)).tolist()
-        if bad:
+        if not np.isfinite(points).all():  # one pass over the array; rows only to name them
+            bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1)).tolist()
             raise ValueError(f"non-finite coordinates in data rows {bad}")
         if weights is None:
             weights = np.full(points.shape[0], 1.0 / points.shape[0])
         else:
             weights = _normalized(weights, points.shape[0], "data rows")
-        self.points = points
-        self.weights = weights
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        # _passed: the (domain, allow_boundary) checks of check_samples these points passed
+        self.points, self.weights, self._passed = _frozen(points), _frozen(weights), set()
 
     @classmethod
     def _over(cls, points, weights) -> "SampleSet":
         """A set over arrays that already hold a set's invariants: no copy, no renormalization."""
         s = cls.__new__(cls)
-        s.points, s.weights = points, weights
+        s.points, s.weights, s._passed = _frozen(points), _frozen(weights), set()
         return s
+
+    def __reduce__(self):
+        # pickle and copy rebuild a frozen set that has passed no check
+        return type(self)._over, (self.points, self.weights)
 
     @property
     def n(self) -> int:
@@ -119,7 +140,8 @@ class GroupedSampleSet:
     The rows are stored once: each set in ``groups`` keeps the weights it was
     given, and its points are a view of its rows of the mixture.  Instances
     are immutable: ``groups`` and ``group_weights`` are read-only mappings and
-    every stored array is read-only.
+    every stored array is read-only.  A pickled or copied grouped set is
+    rebuilt the same way, its groups viewing its mixture's rows.
     """
 
     def __init__(self, groups: Mapping, group_weights=None):
@@ -134,19 +156,31 @@ class GroupedSampleSet:
             if isinstance(group_weights, Mapping):
                 group_weights = [group_weights[k] for k in keys]
             weights = _normalized(group_weights, len(keys), "groups")
-        weights.setflags(write=False)
-        self._flat = SampleSet(
+        flat = SampleSet(
             np.concatenate([s.points for s in sets], axis=0),
             np.concatenate([w * s.weights for w, s in zip(weights, sets)]),
         )
-        self._weights = weights
-        self._offsets = np.cumsum([0] + [s.n for s in sets])
-        self._offsets.setflags(write=False)
+        self._assemble(keys, flat, weights, [s.weights for s in sets])
+
+    def _assemble(self, keys, flat: SampleSet, weights, local):
+        """Store the mixture and make each group a view of its rows, with its own weights ``local``."""
+        self._flat, self._weights = flat, _frozen(weights)
+        self._offsets = _frozen(np.cumsum([0] + [w.size for w in local]))
         self._rows = tuple(map(slice, self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
-        self._groups = {
-            k: SampleSet._over(self._flat.points[r], s.weights) for k, r, s in zip(keys, self._rows, sets)
-        }
-        self._group_weights = dict(zip(keys, weights))
+        self._groups = {k: SampleSet._over(flat.points[r], w) for k, r, w in zip(keys, self._rows, local)}
+        self._group_weights = dict(zip(keys, self._weights))
+
+    @classmethod
+    def _restored(cls, keys, flat, weights, local) -> "GroupedSampleSet":
+        grouped = cls.__new__(cls)
+        grouped._assemble(keys, flat, weights, local)
+        return grouped
+
+    def __reduce__(self):
+        # rebuilt around a new, unchecked set over the mixture, so that the groups view its rows again
+        flat = SampleSet._over(self._flat.points, self._flat.weights)
+        local = [s.weights for s in self._groups.values()]
+        return type(self)._restored, (list(self._groups), flat, self._weights, local)
 
     @property
     def groups(self) -> Mapping:
@@ -178,18 +212,24 @@ class GroupedSampleSet:
 
 
 def check_samples(g: ConvexGenerator, s: SampleSet, *, allow_boundary: bool = False):
-    """Validate every point of ``s`` against the generator's domain.
+    """Validate every point of ``s`` against the generator's domain, once per set and domain.
 
-    Meant for ingestion time; the arithmetic operators below trust their
-    inputs and do not re-validate per call.
+    The dimension is always checked.  The row test runs once: ``s`` records
+    each check it passes, and a strict pass also answers a boundary check.
+    A full-space domain needs no row test, since every :class:`SampleSet`
+    is finite.  The reports call this on their inputs, so a set checked at
+    ingestion is not tested again.
     """
     if s.dim != g.dim:
         raise DomainError(f"points have dimension {s.dim}, generator expects {g.dim}")
-    boundary_ok = allow_boundary and g.boundary_first_args
-    mask = g.domain.contains(s.points, allow_boundary=boundary_ok)
+    domain, boundary_ok = g.domain, bool(allow_boundary and g.boundary_first_args)
+    if type(domain) is FullSpace or (domain, False) in s._passed or (domain, boundary_ok) in s._passed:
+        return
+    mask = domain.contains(s.points, allow_boundary=boundary_ok)
     if not np.all(mask):
         bad = np.flatnonzero(~mask).tolist()
-        raise DomainError(f"samples {bad} outside the {g.domain.kind} domain")
+        raise DomainError(f"samples {bad} outside the {domain.kind} domain")
+    s._passed.add((domain, boundary_ok))
 
 
 class _GroupedMoments(NamedTuple):
@@ -219,10 +259,11 @@ class _Side(NamedTuple):
     def center(self, g, s: SampleSet):
         return self.from_coords(g, s.weights @ self.to_coords(g, s.points))
 
-    def variance(self, g, s: SampleSet) -> float:
+    def variance(self, g, s: SampleSet, center=None) -> float:
+        """Expected spread around ``center``, which defaults to :meth:`center`; 0 for a constant set."""
         if s.n == 1 or np.all(s.points == s.points[0]):
             return 0.0
-        return float(s.weights @ self.spread(g, s.points, self.center(g, s)))
+        return float(s.weights @ self.spread(g, s.points, self.center(g, s) if center is None else center))
 
     def grouped(self, g, grouped: GroupedSampleSet) -> _GroupedMoments:
         """Validate the rows of ``grouped``, then take every center and variance in one pass.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bregman_bv import (
+    FullSpace,
     GroupedSampleSet,
     Mahalanobis,
     NegativeEntropySimplex,
@@ -93,3 +94,21 @@ def random_grouped(g, rng, max_groups: int = 4, max_n: int = 5) -> GroupedSample
 def gen(request):
     dims = {"negative-entropy-simplex": 3}
     return build_generator(request.param, dims.get(request.param, 2))
+
+
+@pytest.fixture
+def row_tests(monkeypatch):
+    """The (domain kind, rows) of every domain row test made while the test runs.
+
+    A row test is a membership test of an ``(n, d)`` array; the single points
+    that reports validate (a bias's two centers, a conditional's fixed point)
+    are left out.
+    """
+    calls = []
+    for cls in (FullSpace, OpenBox, OpenSimplex):
+        def counted(self, x, allow_boundary=False, _contains=cls.contains):
+            if np.ndim(x) == 2:
+                calls.append((self.kind, len(x)))
+            return _contains(self, x, allow_boundary=allow_boundary)
+        monkeypatch.setattr(cls, "contains", counted)
+    return calls

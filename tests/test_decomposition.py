@@ -22,9 +22,12 @@ from bregman_bv import (
     conditional_prediction,
     decompose,
     divergence,
+    dual_mean,
+    dual_variance,
     ensemble_distribution,
     ensemble_effect,
     primal_mean,
+    primal_variance,
     total_variance,
 )
 from conftest import (
@@ -198,6 +201,54 @@ class TestExpectedLossReference:
             report = decompose(g, SampleSet(labels.points + offset, labels.weights),
                                SampleSet(predictions.points + offset, predictions.weights))
             assert not report.failures(1e-9)
+
+
+def public_moment_decomposition(g, labels, predictions):
+    """The fields of ``decompose`` as it computed them before it took each moment once.
+
+    Every mean and variance comes from its public function, which recomputes
+    the centers it needs; the expected loss is the same three-point sum.
+    """
+    central_label = primal_mean(labels)
+    center = primal_mean(predictions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_grad = predictions.weights @ g.grad(predictions.points)
+        cross = np.sum((g.grad(center) - mean_grad) * (central_label - center))
+        expected_loss = float(
+            labels.weights @ divergence(g, labels.points, center, validate=False)
+            + predictions.weights @ divergence(g, center, predictions.points, validate=False)
+            + cross
+        )
+    bayes_error = primal_variance(g, labels)
+    central_prediction = dual_mean(g, predictions)
+    bias = float(divergence(g, central_label, central_prediction))
+    model_variance = dual_variance(g, predictions)
+    return {
+        "expected_loss": expected_loss,
+        "bayes_error": bayes_error,
+        "bias": bias,
+        "model_variance": model_variance,
+        "identity_residual": expected_loss - (bayes_error + bias + model_variance),
+        "central_label": [float(v) for v in central_label],
+        "central_prediction": [float(v) for v in central_prediction],
+    }
+
+
+@pytest.mark.parametrize("name, dim", [(n, d) for n in GENERATOR_NAMES for d in (2, 3)])
+def test_decompose_matches_public_moment_formulas(name, dim):
+    g = build_generator(name, dim)
+    rng = np.random.default_rng(38 + dim)
+    cases = []
+    for _ in range(20):
+        labels, predictions = random_sample_set(g, rng, max_n=12), random_sample_set(g, rng, max_n=12)
+        one_row = SampleSet(predictions.points[:1])
+        constant = SampleSet(np.repeat(predictions.points[:1], 3, axis=0), [0.2, 0.5, 0.3])
+        cases += [(labels, predictions), (labels, one_row), (labels, constant), (predictions, labels)]
+    if name == "negative-entropy-simplex":
+        classes = rng.integers(0, g.dim, size=7)
+        cases.append((SampleSet(np.eye(g.dim)[classes]), random_sample_set(g, rng)))
+    for labels, predictions in cases:
+        assert decompose(g, labels, predictions).as_dict() == public_moment_decomposition(g, labels, predictions)
 
 
 def _rearranged(s, rng, move):

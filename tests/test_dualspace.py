@@ -1,5 +1,9 @@
 """Sample sets, primal/dual means and variances, averaging and ensembling."""
 
+import array
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,10 +13,13 @@ from bregman_bv import (
     DomainError,
     EnumerationCapError,
     GroupedSampleSet,
+    Mahalanobis,
     NegativeEntropySimplex,
     SampleSet,
     SquaredEuclidean,
     check_samples,
+    conditional_label,
+    conditional_prediction,
     decompose,
     dual_average,
     dual_mean,
@@ -21,8 +28,9 @@ from bregman_bv import (
     primal_average,
     primal_mean,
     primal_variance,
+    total_variance,
 )
-from conftest import build_generator, random_grouped, random_sample_set
+from conftest import build_generator, random_grouped, random_sample_set, spd_matrix
 
 # frozen from the analytic normalized geometric mean of {(0.8,0.2), (0.6,0.4)}
 GEOMETRIC_MEAN = np.array([0.71010205144336436, 0.28989794855663564])
@@ -33,6 +41,22 @@ DUAL_VAR_PAIR = 0.02463800269179502
 
 def kl_pair():
     return SampleSet([[0.8, 0.2], [0.6, 0.4]])
+
+
+# every way a held set comes back: pickled, deep-copied, shallow-copied
+REBUILDS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    # protocol 5 unpickles array data into a writable buffer, not an array
+    "pickle-5": lambda x: pickle.loads(pickle.dumps(x, protocol=5)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+def assert_frozen(a):
+    with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True of this array$"):
+        a.setflags(write=True)
+    assert not a.flags.writeable
 
 
 class TestSampleSet:
@@ -88,10 +112,36 @@ class TestSampleSet:
         assert not np.may_share_memory(t.points, s.points) and not s.points.flags.writeable
         assert not t.points.flags.writeable
 
+    def test_owns_points_given_as_a_buffer(self):
+        buf = array.array("d", [0.8, 0.2, 0.6, 0.4])
+        s = SampleSet(memoryview(buf).cast("B").cast("d", (2, 2)))
+        buf[0] = float("nan")
+        assert s.points.tolist() == [[0.8, 0.2], [0.6, 0.4]]
+        assert_frozen(s.points)
+
     def test_immutable(self):
         s = SampleSet([[1.0, 0.0]])
         with pytest.raises(ValueError):
             s.points[0, 0] = 2.0
+        # a promoted single point is a view of the 1-D array; both are frozen
+        for t in (s, SampleSet([1.5, 2.5]), SampleSet(np.arange(6.0).reshape(3, 2)[::2], [1.0, 2.0])):
+            assert_frozen(t.points)
+            assert_frozen(t.weights)
+
+    @pytest.mark.parametrize("how", REBUILDS)
+    def test_rebuilt_sets_stay_frozen_and_unchecked(self, how, row_tests):
+        g = NegativeEntropySimplex(2)
+        s = SampleSet([[0.8, 0.2], [0.6, 0.4]], [1.0, 3.0])
+        check_samples(g, s)
+        t = REBUILDS[how](s)
+        assert type(t) is SampleSet and t is not s
+        assert t.points.tolist() == s.points.tolist() and t.weights.tolist() == s.weights.tolist()
+        assert_frozen(t.points)
+        assert_frozen(t.weights)
+        # the rebuilt set carries no record of the check its original passed
+        check_samples(g, t)
+        check_samples(g, s)
+        assert row_tests == [("open-simplex", 2), ("open-simplex", 2)]
 
 
 class TestGroupedSampleSet:
@@ -129,6 +179,46 @@ class TestGroupedSampleSet:
             grouped.groups["a"].points[0, 0] = 1.0
         assert list(grouped.groups.values())[1].points.tolist() == [[4.0]]
 
+    @pytest.mark.parametrize("how", REBUILDS)
+    def test_rebuilt_sets_stay_frozen_and_give_equal_reports(self, how, row_tests):
+        g = Mahalanobis(spd_matrix(2))
+        grouped = random_grouped(g, np.random.default_rng(3), max_groups=4, max_n=5)
+        for mode in ("primal", "dual"):
+            total_variance(g, grouped, mode)
+        t = REBUILDS[how](grouped)
+        flat = t.flatten()
+        assert type(t) is GroupedSampleSet and flat is not grouped.flatten()
+        for a in (flat.points, flat.weights, t._weights, t._offsets):
+            assert_frozen(a)
+        assert list(t.groups) == list(grouped.groups)
+        assert [float(w) for w in t.group_weights.values()] == [float(w) for w in grouped.group_weights.values()]
+        for key, s in t.groups.items():
+            # each group views its rows of the mixture, as at construction
+            assert np.shares_memory(s.points, flat.points)
+            assert s.points.tolist() == grouped.groups[key].points.tolist()
+            assert s.weights.tolist() == grouped.groups[key].weights.tolist()
+            assert_frozen(s.points)
+            assert_frozen(s.weights)
+        point = np.array([0.3, -0.2])
+        for report in (
+            lambda x: total_variance(g, x, "primal"),
+            lambda x: total_variance(g, x, "dual"),
+            lambda x: conditional_prediction(g, point, x),
+            lambda x: conditional_label(g, x, point),
+        ):
+            assert report(t).as_dict() == report(grouped).as_dict()
+        assert row_tests == []  # a full-space domain needs no row test
+
+    def test_unpickled_simplex_mixture_is_checked_again(self, row_tests):
+        g = NegativeEntropySimplex(3)
+        grouped = random_grouped(g, np.random.default_rng(4))
+        total_variance(g, grouped, "dual")
+        t = pickle.loads(pickle.dumps(grouped))
+        total_variance(g, t, "dual")
+        total_variance(g, grouped, "dual")
+        n = grouped.flatten().n
+        assert row_tests == [("open-simplex", n), ("open-simplex", n)]
+
     def test_overflowing_group_weight_sum(self):
         grouped = GroupedSampleSet(
             {"a": SampleSet([[0.0]]), "b": SampleSet([[4.0]])}, {"a": 1e308, "b": 1.5e308}
@@ -147,6 +237,60 @@ class TestCheckSamples:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError, match="points have dimension 2, generator expects 3"):
             check_samples(SquaredEuclidean(3), kl_pair())
+
+    def test_dimension_is_checked_after_a_pass(self):
+        s = kl_pair()
+        check_samples(NegativeEntropySimplex(2), s)
+        check_samples(SquaredEuclidean(2), s)
+        for g in (NegativeEntropySimplex(3), SquaredEuclidean(3)):
+            with pytest.raises(DomainError, match="^points have dimension 2, generator expects 3$"):
+                check_samples(g, s)
+
+    def test_decompose_tests_each_set_once(self, row_tests):
+        g = NegativeEntropySimplex(3)
+        labels = SampleSet(np.eye(3)[[0, 2, 1, 2]])
+        predictions = SampleSet([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]])
+        first, second = decompose(g, labels, predictions), decompose(g, labels, predictions)
+        assert first.as_dict() == second.as_dict()
+        assert row_tests == [("open-simplex", 4), ("open-simplex", 3)]
+
+    def test_full_space_makes_no_row_test(self, row_tests):
+        g = Mahalanobis(spd_matrix(2))
+        rng = np.random.default_rng(5)
+        grouped = random_grouped(g, rng)
+        for mode in ("primal", "dual"):
+            assert not total_variance(g, grouped, mode).failures(1e-9)
+        decompose(g, random_sample_set(g, rng), random_sample_set(g, rng))
+        assert row_tests == []
+
+    def test_failing_set_raises_on_every_call(self, row_tests):
+        g = NegativeEntropySimplex(2)
+        s = SampleSet([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+        for _ in range(3):
+            with pytest.raises(DomainError, match=r"^samples \[1, 2\] outside the open-simplex domain$"):
+                check_samples(g, s)
+        assert row_tests == [("open-simplex", 3)] * 3
+
+    def test_boundary_pass_does_not_answer_a_strict_check(self, row_tests):
+        g = NegativeEntropySimplex(3)
+        s = SampleSet([[1, 0, 0], [0, 1, 0]])
+        check_samples(g, s, allow_boundary=True)
+        check_samples(g, s, allow_boundary=True)
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^samples \[0, 1\] outside the open-simplex domain$"):
+                check_samples(g, s)
+        assert row_tests == [("open-simplex", 2)] * 3
+
+    def test_strict_pass_answers_a_boundary_check(self, row_tests):
+        g = NegativeEntropySimplex(2)
+        s = kl_pair()
+        check_samples(g, s)
+        check_samples(g, s, allow_boundary=True)
+        check_samples(g, s)
+        assert row_tests == [("open-simplex", 2)]
+        # another generator has its own domain, which the set has not passed
+        check_samples(NegativeEntropySimplex(2), s)
+        assert row_tests == [("open-simplex", 2)] * 2
 
 
 class TestMeans:
