@@ -60,18 +60,20 @@ def _normalized(weights, n: int, what: str):
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A read-only view of ``a`` that numpy will not make writable again.
 
-    numpy makes a view writable when any array under it is writable, or when
-    its data sit in an outside buffer (as an unpickled array's may); so every
-    array under ``a`` is made read-only, and data in a buffer are copied.
+    An array that owns its data is made read-only in place, so callers pass
+    only arrays they made.  A view is kept when every array under it is
+    read-only; any other view (of a writable array, or of an outside buffer,
+    as an unpickled array's data may be) is copied first.
     """
-    chain = [a]
-    while isinstance(chain[-1].base, np.ndarray):
-        chain.append(chain[-1].base)
-    if chain[-1].base is not None:
-        chain = [a.copy()]
-    for array in chain:
-        array.setflags(write=False)
-    return chain[0].view()
+    if a.base is not None:
+        base = a
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:
+            a = a.copy()
+    if a.base is None:
+        a.setflags(write=False)
+    return a.view()
 
 
 class SampleSet:
@@ -86,10 +88,8 @@ class SampleSet:
     """
 
     def __init__(self, points, weights=None):
-        given = points
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if isinstance(given, np.ndarray) and np.may_share_memory(points, given):
-            points = points.copy()
+        # always a copy, which the set owns: asarray may return the caller's array or a view of it
+        points = np.atleast_2d(np.asarray(points, dtype=float)).copy()
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
             raise ValueError("points must form a nonempty (n, d) array")
         if not np.isfinite(points).all():  # one pass over the array; rows only to name them
@@ -99,19 +99,18 @@ class SampleSet:
             weights = np.full(points.shape[0], 1.0 / points.shape[0])
         else:
             weights = _normalized(weights, points.shape[0], "data rows")
-        # _passed: the (domain, allow_boundary) checks of check_samples these points passed
-        self.points, self.weights, self._passed = _frozen(points), _frozen(weights), set()
+        self.points, self.weights = _frozen(points), _frozen(weights)
 
     @classmethod
     def _over(cls, points, weights) -> "SampleSet":
         """A set over arrays that already hold a set's invariants: no copy, no renormalization."""
         s = cls.__new__(cls)
-        s.points, s.weights, s._passed = _frozen(points), _frozen(weights), set()
+        s.points, s.weights = _frozen(points), _frozen(weights)
         return s
 
-    def __reduce__(self):
-        # pickle and copy rebuild a frozen set that has passed no check
-        return type(self)._over, (self.points, self.weights)
+    def __setstate__(self, state):
+        # pickle and copy (and pickles of earlier versions, which hold the same state) come back frozen
+        self.points, self.weights = _frozen(state["points"]), _frozen(state["weights"])
 
     @property
     def n(self) -> int:
@@ -170,17 +169,10 @@ class GroupedSampleSet:
         self._groups = {k: SampleSet._over(flat.points[r], w) for k, r, w in zip(keys, self._rows, local)}
         self._group_weights = dict(zip(keys, self._weights))
 
-    @classmethod
-    def _restored(cls, keys, flat, weights, local) -> "GroupedSampleSet":
-        grouped = cls.__new__(cls)
-        grouped._assemble(keys, flat, weights, local)
-        return grouped
-
-    def __reduce__(self):
-        # rebuilt around a new, unchecked set over the mixture, so that the groups view its rows again
-        flat = SampleSet._over(self._flat.points, self._flat.weights)
-        local = [s.weights for s in self._groups.values()]
-        return type(self)._restored, (list(self._groups), flat, self._weights, local)
+    def __setstate__(self, state):
+        # pickle and copy restore the mixture, then make the groups view its rows again
+        groups = state["_groups"]
+        self._assemble(list(groups), state["_flat"], state["_weights"], [s.weights for s in groups.values()])
 
     @property
     def groups(self) -> Mapping:
@@ -212,24 +204,20 @@ class GroupedSampleSet:
 
 
 def check_samples(g: ConvexGenerator, s: SampleSet, *, allow_boundary: bool = False):
-    """Validate every point of ``s`` against the generator's domain, once per set and domain.
+    """Validate the dimension of ``s`` and every point against the generator's domain.
 
-    The dimension is always checked.  The row test runs once: ``s`` records
-    each check it passes, and a strict pass also answers a boundary check.
-    A full-space domain needs no row test, since every :class:`SampleSet`
-    is finite.  The reports call this on their inputs, so a set checked at
-    ingestion is not tested again.
+    Every report calls this once on each set it is given.  A full-space
+    domain needs no row test: every :class:`SampleSet` is finite.
     """
     if s.dim != g.dim:
         raise DomainError(f"points have dimension {s.dim}, generator expects {g.dim}")
-    domain, boundary_ok = g.domain, bool(allow_boundary and g.boundary_first_args)
-    if type(domain) is FullSpace or (domain, False) in s._passed or (domain, boundary_ok) in s._passed:
+    if type(g.domain) is FullSpace:
         return
-    mask = domain.contains(s.points, allow_boundary=boundary_ok)
+    boundary_ok = allow_boundary and g.boundary_first_args
+    mask = g.domain.contains(s.points, allow_boundary=boundary_ok)
     if not np.all(mask):
         bad = np.flatnonzero(~mask).tolist()
-        raise DomainError(f"samples {bad} outside the {domain.kind} domain")
-    s._passed.add((domain, boundary_ok))
+        raise DomainError(f"samples {bad} outside the {g.domain.kind} domain")
 
 
 class _GroupedMoments(NamedTuple):

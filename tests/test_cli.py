@@ -499,17 +499,6 @@ class TestSubcommands:
         assert b1 == b2
         assert b'"bias": 0.34234658484830527' in b1
 
-    def test_decompose_tests_each_file_once(self, capsys, row_tests):
-        argv = [
-            "decompose", "--generator", "negative-entropy-simplex", "--dim", "2",
-            "--labels", fx("labels_onehot.csv"), "--predictions", fx("preds_pair.csv"),
-            "--label-onehot",
-        ]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == EXPECTED["decompose"].read_bytes().decode("utf-8")
-        # ingest tests each file; the report reuses those checks
-        assert row_tests == [("open-simplex", 1), ("open-simplex", 2)]
-
     def test_decompose_mahalanobis_matrix_file(self, tmp_path):
         argv = [
             "decompose", "--generator", "mahalanobis", "--matrix-file", fx("matrix2.csv"),

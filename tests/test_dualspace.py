@@ -2,6 +2,7 @@
 
 import array
 import copy
+import copyreg
 import pickle
 
 import numpy as np
@@ -51,6 +52,25 @@ REBUILDS = {
     "deepcopy": copy.deepcopy,
     "copy": copy.copy,
 }
+
+
+class _Pickled:
+    """Pickles as ``cls`` with the plain instance dict ``state``, as sets did before they froze their arrays on load."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return copyreg._reconstructor, (self.cls, object, None), self.state
+
+
+def earlier_pickle(x):
+    """``x`` as an earlier version pickled it: the same instance dict, with writable arrays."""
+    if isinstance(x, SampleSet):
+        return _Pickled(SampleSet, {"points": x.points.copy(), "weights": x.weights.copy()})
+    state = dict(vars(x), _flat=earlier_pickle(x._flat), _weights=x._weights.copy(), _offsets=x._offsets.copy())
+    state["_groups"] = {k: earlier_pickle(s) for k, s in x._groups.items()}
+    return _Pickled(GroupedSampleSet, state)
 
 
 def assert_frozen(a):
@@ -119,6 +139,21 @@ class TestSampleSet:
         assert s.points.tolist() == [[0.8, 0.2], [0.6, 0.4]]
         assert_frozen(s.points)
 
+    def test_owns_points_given_through_the_array_protocol(self):
+        class Wrapper:
+            def __init__(self, a):
+                self.a = a
+
+            def __array__(self, dtype=None, copy=None):
+                return self.a[:, :]  # a float view of the wrapper's own array: asarray does not copy it
+
+        a = np.array([[0.8, 0.2], [0.6, 0.4]])
+        s = SampleSet(Wrapper(a))
+        assert a.flags.writeable
+        a[0, 0] = 0.5
+        assert s.points.tolist() == [[0.8, 0.2], [0.6, 0.4]]
+        assert_frozen(s.points)
+
     def test_immutable(self):
         s = SampleSet([[1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -129,19 +164,13 @@ class TestSampleSet:
             assert_frozen(t.weights)
 
     @pytest.mark.parametrize("how", REBUILDS)
-    def test_rebuilt_sets_stay_frozen_and_unchecked(self, how, row_tests):
-        g = NegativeEntropySimplex(2)
+    def test_rebuilt_sets_stay_frozen(self, how):
         s = SampleSet([[0.8, 0.2], [0.6, 0.4]], [1.0, 3.0])
-        check_samples(g, s)
         t = REBUILDS[how](s)
         assert type(t) is SampleSet and t is not s
         assert t.points.tolist() == s.points.tolist() and t.weights.tolist() == s.weights.tolist()
         assert_frozen(t.points)
         assert_frozen(t.weights)
-        # the rebuilt set carries no record of the check its original passed
-        check_samples(g, t)
-        check_samples(g, s)
-        assert row_tests == [("open-simplex", 2), ("open-simplex", 2)]
 
 
 class TestGroupedSampleSet:
@@ -187,7 +216,7 @@ class TestGroupedSampleSet:
             total_variance(g, grouped, mode)
         t = REBUILDS[how](grouped)
         flat = t.flatten()
-        assert type(t) is GroupedSampleSet and flat is not grouped.flatten()
+        assert type(t) is GroupedSampleSet and t is not grouped
         for a in (flat.points, flat.weights, t._weights, t._offsets):
             assert_frozen(a)
         assert list(t.groups) == list(grouped.groups)
@@ -209,15 +238,25 @@ class TestGroupedSampleSet:
             assert report(t).as_dict() == report(grouped).as_dict()
         assert row_tests == []  # a full-space domain needs no row test
 
-    def test_unpickled_simplex_mixture_is_checked_again(self, row_tests):
+    def test_loads_pickles_of_earlier_versions(self):
         g = NegativeEntropySimplex(3)
         grouped = random_grouped(g, np.random.default_rng(4))
-        total_variance(g, grouped, "dual")
-        t = pickle.loads(pickle.dumps(grouped))
-        total_variance(g, t, "dual")
-        total_variance(g, grouped, "dual")
-        n = grouped.flatten().n
-        assert row_tests == [("open-simplex", n), ("open-simplex", n)]
+        t = pickle.loads(pickle.dumps(earlier_pickle(grouped)))
+        assert type(t) is GroupedSampleSet and list(t.groups) == list(grouped.groups)
+        flat = t.flatten()
+        for a in (flat.points, flat.weights, t._weights, t._offsets):
+            assert_frozen(a)
+        for key, s in t.groups.items():
+            assert np.shares_memory(s.points, flat.points)
+            assert s.weights.tolist() == grouped.groups[key].weights.tolist()
+            assert_frozen(s.points)
+            assert_frozen(s.weights)
+        for mode in ("primal", "dual"):
+            assert total_variance(g, t, mode).as_dict() == total_variance(g, grouped, mode).as_dict()
+        s = pickle.loads(pickle.dumps(earlier_pickle(flat)))
+        assert type(s) is SampleSet and s.points.tolist() == flat.points.tolist()
+        assert_frozen(s.points)
+        assert_frozen(s.weights)
 
     def test_overflowing_group_weight_sum(self):
         grouped = GroupedSampleSet(
@@ -238,20 +277,11 @@ class TestCheckSamples:
         with pytest.raises(DomainError, match="points have dimension 2, generator expects 3"):
             check_samples(SquaredEuclidean(3), kl_pair())
 
-    def test_dimension_is_checked_after_a_pass(self):
-        s = kl_pair()
-        check_samples(NegativeEntropySimplex(2), s)
-        check_samples(SquaredEuclidean(2), s)
-        for g in (NegativeEntropySimplex(3), SquaredEuclidean(3)):
-            with pytest.raises(DomainError, match="^points have dimension 2, generator expects 3$"):
-                check_samples(g, s)
-
-    def test_decompose_tests_each_set_once(self, row_tests):
+    def test_decompose_tests_each_input_once(self, row_tests):
         g = NegativeEntropySimplex(3)
         labels = SampleSet(np.eye(3)[[0, 2, 1, 2]])
         predictions = SampleSet([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]])
-        first, second = decompose(g, labels, predictions), decompose(g, labels, predictions)
-        assert first.as_dict() == second.as_dict()
+        decompose(g, labels, predictions)
         assert row_tests == [("open-simplex", 4), ("open-simplex", 3)]
 
     def test_full_space_makes_no_row_test(self, row_tests):
@@ -262,35 +292,6 @@ class TestCheckSamples:
             assert not total_variance(g, grouped, mode).failures(1e-9)
         decompose(g, random_sample_set(g, rng), random_sample_set(g, rng))
         assert row_tests == []
-
-    def test_failing_set_raises_on_every_call(self, row_tests):
-        g = NegativeEntropySimplex(2)
-        s = SampleSet([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
-        for _ in range(3):
-            with pytest.raises(DomainError, match=r"^samples \[1, 2\] outside the open-simplex domain$"):
-                check_samples(g, s)
-        assert row_tests == [("open-simplex", 3)] * 3
-
-    def test_boundary_pass_does_not_answer_a_strict_check(self, row_tests):
-        g = NegativeEntropySimplex(3)
-        s = SampleSet([[1, 0, 0], [0, 1, 0]])
-        check_samples(g, s, allow_boundary=True)
-        check_samples(g, s, allow_boundary=True)
-        for _ in range(2):
-            with pytest.raises(DomainError, match=r"^samples \[0, 1\] outside the open-simplex domain$"):
-                check_samples(g, s)
-        assert row_tests == [("open-simplex", 2)] * 3
-
-    def test_strict_pass_answers_a_boundary_check(self, row_tests):
-        g = NegativeEntropySimplex(2)
-        s = kl_pair()
-        check_samples(g, s)
-        check_samples(g, s, allow_boundary=True)
-        check_samples(g, s)
-        assert row_tests == [("open-simplex", 2)]
-        # another generator has its own domain, which the set has not passed
-        check_samples(NegativeEntropySimplex(2), s)
-        assert row_tests == [("open-simplex", 2)] * 2
 
 
 class TestMeans:
