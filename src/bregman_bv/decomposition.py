@@ -154,9 +154,10 @@ def decompose(g: ConvexGenerator, labels: SampleSet, predictions: SampleSet) -> 
     one divergence per label and one per prediction, not one per pair.  The
     report's residual certifies that it equals Bayes error + bias + model
     variance; c is not the label mean, so the residual checks the label side
-    too.  Labels may sit on the domain boundary only where the generator
-    admits boundary first arguments (one-hot labels under the simplex
-    entropy generator).
+    too.  For a quadratic F the central prediction is c itself, so the
+    model-variance sum is the same on both sides of the residual.  Labels
+    may sit on the domain boundary only where the generator admits boundary
+    first arguments (one-hot labels under the simplex entropy generator).
     """
     check_samples(g, labels, allow_boundary=True)
     check_samples(g, predictions)
@@ -174,7 +175,8 @@ def decompose(g: ConvexGenerator, labels: SampleSet, predictions: SampleSet) -> 
         raise DomainError("divergence overflowed near the domain boundary")
     # each moment once: the variances are taken around the centers computed above
     bayes_error = _PRIMAL.variance(g, labels, central_label)
-    central_prediction = g.grad_conj(mean_grad)
+    # a quadratic F has a linear grad, so its dual mean is the primal mean c
+    central_prediction = center if g.quadratic else g.grad_conj(mean_grad)
     bias = float(divergence(g, central_label, central_prediction))
     model_variance = _DUAL.variance(g, predictions, central_prediction)
     residual = expected_loss - (bayes_error + bias + model_variance)

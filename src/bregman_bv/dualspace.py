@@ -256,26 +256,25 @@ class _Side(NamedTuple):
     def grouped(self, g, grouped: GroupedSampleSet) -> _GroupedMoments:
         """Validate the rows of ``grouped``, then take every center and variance in one pass.
 
-        All rows are mapped to the side's coordinates once.  Each group's
-        center is the dot of its weights with its contiguous row range,
-        mapped back one group at a time: a batched Mahalanobis solve rounds
-        unlike single-row ones.  The spread of every row to its own group's
-        center is one divergence call, and the mixture's center reuses the
-        mapped rows.  Every value is bit-identical to :meth:`center` and
-        :meth:`variance` applied to each group and to ``grouped.flatten()``,
-        exact zeros for constant groups included.
+        All rows are mapped to the side's coordinates once; each group's
+        center is the dot of its weights with its contiguous row range, and
+        all centers are mapped back in one batch.  Every map left is
+        row-wise (the identity, ``log``/softmax, elementwise bisection: a
+        quadratic generator's dual side takes no matrix map), so each row
+        rounds as it would alone.  The spread of every row to its own
+        group's center is one divergence call, and the mixture's center
+        reuses the mapped rows.  Every value is bit-identical to
+        :meth:`center` and :meth:`variance` applied to each group and to
+        ``grouped.flatten()``, exact zeros for constant groups included.
         """
         flat = grouped.flatten()
         check_samples(g, flat, allow_boundary=self.boundary_samples)
         coords = self.to_coords(g, flat.points)
         rows, local = grouped._rows, [s.weights for s in grouped.groups.values()]
-        # a one-row group is mapped alone: a one-row matrix product is a BLAS
-        # matrix-vector product, which rounds unlike that row of the batch
-        sums = [w @ (coords[r] if w.size > 1 else self.to_coords(g, flat.points[r]))
-                for r, w in zip(rows, local)]
+        sums = np.asarray([w @ coords[r] for r, w in zip(rows, local)])
         whole_center = self.from_coords(g, flat.weights @ coords)
         del coords  # freed before the spreads allocate theirs, for peak memory
-        centers = np.asarray([self.from_coords(g, row) for row in sums])
+        centers = self.from_coords(g, sums)
         starts, sizes = grouped._offsets[:-1], np.diff(grouped._offsets)
         spread = self.spread(g, flat.points, np.repeat(centers, sizes, axis=0))
         # moved[i]: where row i differs from row i - 1; a set is constant when no row moved
@@ -306,10 +305,11 @@ _PRIMAL = _Side(
     spread=lambda g, x, c, validate=False: divergence(g, x, c, validate=validate),
     boundary_samples=True,
 )
+# grad of a quadratic F is linear, so its dual mean is the weighted mean itself
 _DUAL = _Side(
     role="prediction",
-    to_coords=lambda g, x: g.grad(x),
-    from_coords=lambda g, xstar: g.grad_conj(xstar),
+    to_coords=lambda g, x: x if g.quadratic else g.grad(x),
+    from_coords=lambda g, xstar: xstar if g.quadratic else g.grad_conj(xstar),
     spread=lambda g, x, c, validate=False: divergence(g, c, x, validate=validate),
     boundary_samples=False,
 )
@@ -331,7 +331,9 @@ def dual_mean(g: ConvexGenerator, s: SampleSet):
 
     Computes grad_conj(sum_i w_i grad(x_i)); minimizes the expected
     divergence to the samples.  For the simplex entropy generator this is
-    the normalized geometric mean.
+    the normalized geometric mean.  For a quadratic generator (squared
+    Euclidean, Mahalanobis) grad is linear, so this is the weighted mean
+    sum_i w_i x_i, taken without the gradient map and its rounding.
     """
     return _DUAL.center(g, s)
 

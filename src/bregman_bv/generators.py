@@ -127,14 +127,12 @@ class OpenSimplex(Domain):
 
     def contains(self, x, allow_boundary: bool = False):
         x = np.asarray(x, dtype=float)
-        if allow_boundary:
-            positive = np.all(x >= 0.0, axis=-1)
-        else:
-            positive = np.all(x > 0.0, axis=-1)
+        sign = x >= 0.0 if allow_boundary else x > 0.0
         # NaN fails the sign test; +inf, or a sum beyond the float range, is off the plane
         with np.errstate(over="ignore", invalid="ignore"):
             on_plane = np.abs(np.sum(x, axis=-1) - 1.0) <= self.sum_tolerance
-        return positive & on_plane
+        # one whole-array pass first: the per-row reduction only when some sign fails
+        return on_plane if sign.all() else on_plane & np.all(sign, axis=-1)
 
     def validate_second(self, x):
         self.validate(x, role="second divergence argument")
@@ -156,6 +154,9 @@ class ConvexGenerator:
 
     #: whether divergence first arguments may sit on the domain boundary
     boundary_first_args = False
+    #: whether F is quadratic: grad is then linear, so a mean taken in
+    #: gradient coordinates is the plain weighted mean
+    quadratic = False
 
     name: str
     domain: Domain
@@ -195,6 +196,8 @@ class ConvexGenerator:
 class SquaredEuclidean(ConvexGenerator):
     """F(x) = ||x||^2 on R^d; the induced divergence is ||y - x||^2."""
 
+    quadratic = True
+
     def __init__(self, dim: int):
         self.name = "squared-euclidean"
         self.domain = FullSpace(dim)
@@ -222,6 +225,8 @@ class Mahalanobis(ConvexGenerator):
     construction (a Cholesky factorization must exist); ``grad_conj``
     solves 2 A z = x* for z.
     """
+
+    quadratic = True
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
@@ -310,7 +315,9 @@ class NegativeEntropySimplex(ConvexGenerator):
         one-hot y gives -log x_k rounded once.
         """
         positive = y > 0.0
-        logs = np.log(np.where(positive, y, 1.0)) - np.log(np.where(positive, x, 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_x = np.log(x)  # before broadcasting: x is often one point against many y
+        logs = np.log(np.where(positive, y, 1.0)) - np.where(positive, log_x, 0.0)
         return _rowdot(y, logs) + np.einsum("...i->...", x - y)
 
 

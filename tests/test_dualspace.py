@@ -4,6 +4,7 @@ import array
 import copy
 import copyreg
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -318,6 +319,46 @@ class TestMeans:
         g = NegativeEntropySimplex(2)
         s = SampleSet([[0.8, 0.2]])
         assert np.allclose(dual_mean(g, s), [0.8, 0.2], atol=1e-12)
+
+
+def matrix_with_condition(dim, cond, rng):
+    """A symmetric positive-definite matrix with eigenvalues log-spaced from 1 to ``cond``."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    a = (q * np.logspace(0.0, np.log10(cond), dim)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+class TestQuadraticDualMean:
+    """A quadratic generator's dual mean is its weighted mean, taken without the gradient map."""
+
+    @pytest.mark.parametrize("cond", [1e1, 1e4, 1e8])
+    def test_agrees_with_the_gradient_map(self, cond):
+        # the path the weighted mean replaced stays as a cross-check: it loses ~cond(A) ulps
+        rng = np.random.default_rng(int(np.log10(cond)))
+        g = Mahalanobis(matrix_with_condition(3, cond, rng))
+        for _ in range(20):
+            s = random_sample_set(g, rng, min_n=2)
+            mapped = g.grad_conj(s.weights @ g.grad(s.points))
+            scale = s.weights @ np.abs(s.points)
+            assert np.all(np.abs(mapped - dual_mean(g, s)) <= 1e-15 * cond * scale)
+
+    def test_exact_to_a_few_ulps_at_high_condition(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(8)
+        g = Mahalanobis(matrix_with_condition(3, 1e8, rng))
+        for _ in range(20):
+            s = random_sample_set(g, rng, min_n=2)
+            got = dual_mean(g, s)
+            for j in range(3):
+                exact = sum(Fraction(w) * Fraction(x) for w, x in zip(s.weights, s.points[:, j]))
+                scale = sum(Fraction(w) * abs(Fraction(x)) for w, x in zip(s.weights, s.points[:, j]))
+                assert abs(Fraction(got[j]) - exact) <= 4 * eps * scale
+
+    def test_single_point_at_offset_is_the_point(self):
+        g = Mahalanobis(spd_matrix(3))
+        for x in 1e4 + np.random.default_rng(10).uniform(-2.0, 2.0, size=(20, 3)):
+            assert np.array_equal(dual_mean(g, SampleSet([x])), x)
+            assert np.array_equal(dual_average(g, x), x)
 
 
 class TestVariances:

@@ -315,3 +315,58 @@ class TestClosedForms:
         g = NegativeEntropySimplex(3)
         x = random_interior_points(g, np.random.default_rng(23), 200)
         assert np.all(np.abs(divergence(g, (1.0 - 1e-10) * x, x)) <= 1e-15)
+
+
+class TestSimplexRewrites:
+    """The KL kernel and the simplex membership test against the expressions they replaced."""
+
+    @staticmethod
+    def logged_after_broadcast(y, x):
+        positive = y > 0.0
+        logs = np.log(np.where(positive, y, 1.0)) - np.log(np.where(positive, x, 1.0))
+        return np.einsum("...i,...i->...", y, logs) + np.einsum("...i->...", x - y)
+
+    @staticmethod
+    def reduced_per_row(domain, x, allow_boundary):
+        positive = np.all(x >= 0.0 if allow_boundary else x > 0.0, axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            on_plane = np.abs(np.sum(x, axis=-1) - 1.0) <= domain.sum_tolerance
+        return positive & on_plane
+
+    @staticmethod
+    def rows(rng, n=300):
+        """Interior, one-hot, face and on-plane negative rows, with NaN, inf and negatives mixed in."""
+        g = NegativeEntropySimplex(4)
+        moved = np.eye(4)[rng.integers(4, size=n)] - np.eye(4)[rng.integers(4, size=n)]
+        x = np.concatenate([
+            random_interior_points(g, rng, n),
+            np.eye(4)[rng.integers(4, size=n)],
+            np.pad(random_interior_points(NegativeEntropySimplex(3), rng, n), ((0, 0), (0, 1))),
+            random_interior_points(g, rng, n) + 0.5 * moved,
+        ])
+        swap = rng.random(x.shape) < 0.05
+        x[swap] = rng.choice([np.nan, np.inf, -np.inf, -0.25, 0.0], size=int(swap.sum()))
+        return x[rng.permutation(len(x))]
+
+    def test_kl_kernel_logs_before_broadcasting(self):
+        g = NegativeEntropySimplex(4)
+        rng = np.random.default_rng(24)
+        y, x = self.rows(rng), self.rows(rng)
+        for first, second in ((y, x), (y, x[0]), (y[0], x), (y, y[5]), (y[5], y[5])):
+            with np.errstate(all="ignore"):
+                got = g.divergence_kernel(first, second)
+                want = self.logged_after_broadcast(first, second)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("allow_boundary", [False, True])
+    def test_simplex_membership_tests_signs_once(self, allow_boundary):
+        domain = OpenSimplex(4)
+        rng = np.random.default_rng(25)
+        x = self.rows(rng)
+        inside = random_interior_points(NegativeEntropySimplex(4), rng, 50)
+        for batch in (x, inside, x[:1], x[0], inside[0], np.eye(4)):
+            got = domain.contains(batch, allow_boundary=allow_boundary)
+            want = self.reduced_per_row(domain, batch, allow_boundary)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)

@@ -24,11 +24,13 @@ from bregman_bv import (
     SampleSet,
     conditional_label,
     conditional_prediction,
+    decompose,
     divergence,
     dual_average,
     dual_variance,
     ensemble_distribution,
     primal_average,
+    primal_mean,
     primal_variance,
     total_variance,
 )
@@ -45,6 +47,9 @@ def ref_primal_mean(s):
 
 
 def ref_dual_mean(g, s):
+    # grad of a quadratic F is linear: the dual mean is the weighted mean
+    if g.quadratic:
+        return ref_primal_mean(s)
     return g.grad_conj(s.weights @ g.grad(s.points))
 
 
@@ -71,6 +76,8 @@ def ref_primal_average(points):
 
 
 def ref_dual_average(g, points):
+    if g.quadratic:
+        return ref_primal_average(points)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return g.grad_conj(np.mean(g.grad(points), axis=0))
 
@@ -153,7 +160,7 @@ def ref_ensemble(g, s, n, mode):
         for ci in c:
             coef //= math.factorial(int(ci))
         weights[row] = coef * float(np.prod(s.weights**c))
-    if mode == "primal":
+    if mode == "primal" or g.quadratic:
         points = (counts @ s.points) / n
     else:
         points = g.grad_conj((counts @ g.grad(s.points)) / n)
@@ -241,6 +248,46 @@ def test_ensemble_matches_direct_enumeration(gen, seed, mode):
     points, weights = ref_ensemble(gen, s, 3, mode)
     assert np.array_equal(ens.points, points)
     assert np.allclose(ens.weights, weights, rtol=ENSEMBLE_WEIGHT_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["squared-euclidean", "mahalanobis"])
+def test_quadratic_dual_reports_equal_primal_ones(name):
+    """A quadratic F has a linear gradient and a symmetric D: each dual report is its primal mirror.
+
+    The dual mean is the primal mean and D(c, x) == D(x, c) bit for bit, so
+    the two sides of every mirror pair agree exactly, on 150 random cases
+    and one at workload scale.
+    """
+    gen = build_generator(name, 2)
+    for case in [*range(150), "large"]:
+        g, rng, grouped = grouped_case(gen, case, 500)
+        dual, primal = (total_variance(g, grouped, mode).as_dict() for mode in ("dual", "primal"))
+        assert {**dual, "mode": "primal"} == primal
+        point = random_interior_points(g, rng, 1)[0]
+        got = conditional_prediction(g, point, grouped).as_dict()
+        assert {**got, "side": "label"} == conditional_label(g, grouped, point).as_dict()
+        for predictions in (grouped.flatten(), random_sample_set(g, rng)):
+            report = decompose(g, random_sample_set(g, rng), predictions)
+            assert np.array_equal(report.central_prediction, primal_mean(predictions))
+
+
+@pytest.mark.parametrize("name", ["negative-entropy-simplex", "separable-custom"])
+@pytest.mark.parametrize("dim", [2, 3, 10])
+def test_non_quadratic_maps_are_row_wise(name, dim):
+    """``grad`` and ``grad_conj`` give a row the same bits in any batch, one-row batches included.
+
+    The grouped reports map all rows, and all group centers, in one batch
+    each, and are pinned with == against per-group formulas.
+    """
+    g = build_generator(name, dim)
+    assert not g.quadratic
+    points = random_interior_points(g, np.random.default_rng(600 + dim), 60)
+    for fn, batch in ((g.grad, points), (g.grad_conj, g.grad(points))):
+        whole = fn(batch)
+        for i, row in enumerate(batch):
+            assert np.array_equal(fn(row), whole[i])
+            assert np.array_equal(fn(batch[i:i + 1]), whole[i:i + 1])
+        assert np.array_equal(fn(batch[7:30]), whole[7:30])
 
 
 def test_no_scipy_import():
