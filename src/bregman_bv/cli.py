@@ -15,14 +15,13 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import math
 import os
 import sys
 
 from .errors import DomainError, EnumerationCapError, InversionError
 
-__all__ = ["ingest", "emit_samples", "emit_divergence_field", "render_json"]
+__all__ = ["ingest", "emit_divergence_field", "render_json"]
 
 # MemoryError: numpy cannot allocate the arrays an option or file asks for
 _INPUT_ERRORS = (DomainError, InversionError, EnumerationCapError, ValueError, OSError, MemoryError)
@@ -319,29 +318,6 @@ def _json_float(value):
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-def emit_samples(s, out) -> None:
-    """Write a SampleSet (or GroupedSampleSet, with a ``group`` column) as CSV.
-
-    ``ingest`` of the emitted file reproduces the set to 1e-12 per
-    coordinate (floats are rendered with 17 significant digits).
-    """
-    import numpy as np
-
-    from .dualspace import GroupedSampleSet
-
-    if isinstance(s, GroupedSampleSet):
-        lines = itertools.chain.from_iterable(
-            _csv_lines(np.column_stack([group.points, s.weight(key) * group.weights]),
-                       "," + str(key) + "\n")
-            for key, group in s.items()
-        )
-        header = [f"x{j}" for j in range(s.dim)] + ["weight", "group"]
-    else:
-        lines = _csv_lines(np.column_stack([s.points, s.weights]))
-        header = [f"x{j}" for j in range(s.dim)] + ["weight"]
-    _write_csv(out, header, lines)
 
 
 def _csv_lines(table, end="\n"):

@@ -394,7 +394,6 @@ def ensemble_distribution(
     n: int,
     mode: str,
     *,
-    cap: int = ENSEMBLE_ATOM_CAP,
     mc_draws: int | None = None,
     seed: int | None = None,
 ) -> SampleSet:
@@ -404,8 +403,9 @@ def ensemble_distribution(
     weights and maps each through the primal or dual average.  Weights are
     computed in log space; atoms whose weight underflows to zero add nothing
     to any expectation and are left out.  When the multiset count exceeds
-    ``cap``, raises; pass ``mc_draws`` (with a seed) to fall back to Monte
-    Carlo sampling of ensembles instead.
+    ``ENSEMBLE_ATOM_CAP``, raises; pass ``mc_draws`` (with a seed) to fall
+    back to Monte Carlo sampling of ensembles instead.  The average of n
+    draws of one atom is that atom, so a one-atom set is returned as it is.
     """
     side = _side(mode)
     n = int(n)
@@ -413,7 +413,7 @@ def ensemble_distribution(
         raise ValueError("ensemble size must be >= 1")
     if mc_draws is not None and int(mc_draws) < 1:
         raise ValueError(f"mc_draws must be >= 1, got {mc_draws}")
-    if n == 1:
+    if n == 1 or s.n == 1:
         return s
     coords = side.to_coords(g, s.points)
     if mc_draws is not None:
@@ -423,9 +423,9 @@ def ensemble_distribution(
         idx = rng.choice(s.n, size=(int(mc_draws), n), p=s.weights)
         return SampleSet(side.from_coords(g, np.mean(coords[idx], axis=1)))
     total = math.comb(n + s.n - 1, n)
-    if total > cap:
+    if total > ENSEMBLE_ATOM_CAP:
         raise EnumerationCapError(
-            f"exact ensembling needs {total} atoms (> cap {cap}); "
+            f"exact ensembling needs {total} atoms (> cap {ENSEMBLE_ATOM_CAP}); "
             "pass mc_draws and a seed for the Monte Carlo fallback"
         )
     # reversed, the rows follow itertools.combinations_with_replacement order

@@ -25,7 +25,6 @@ __all__ = [
     "certify_means",
     "argmin_to",
     "argmin_from",
-    "fd_gradient",
     "expected_divergence_to",
     "expected_divergence_from",
 ]
@@ -34,7 +33,6 @@ _CHUNK = 1 << 16  # most grid rows per objective call; larger blocks run slower 
 _SIMPLEX_FLOOR = 1e-12
 _DESCENT_TOLERANCE = 1e-10  # refinement stops once a pass gains less than this
 _MAX_PASSES = 200
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -292,28 +290,3 @@ def certify_means(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, tolerance
         gap = abs(analytic_objective - oracle_objective)
         sides.append(OracleSide(analytic_objective, oracle_objective, gap, analytic, found))
     return CertificationReport(cfg.grid_resolution, tolerance, *sides)
-
-
-def fd_gradient(g: ConvexGenerator, x):
-    """Central finite differences (step ``_FD_STEP``) of the generator value at an interior point.
-
-    Requires the point to sit at least 10 steps away from the domain
-    boundary.  On the simplex the probes leave the constraint plane, so the
-    result approximates the gradient of the unconstrained extension; compare
-    against ``grad`` through coordinate differences (the simplex gauge).
-    """
-    x = np.asarray(x, dtype=float)
-    h = _FD_STEP
-    dom = g.domain
-    if isinstance(dom, OpenBox):
-        margin = min(np.min(x - dom.lowers), np.min(dom.uppers - x))
-    elif isinstance(dom, OpenSimplex):
-        margin = float(np.min(x))
-    else:
-        margin = np.inf
-    if margin < 10.0 * h:
-        raise DomainError("point too close to the domain boundary for finite differences")
-    eye = np.eye(x.size)
-    plus = g.value(x[None, :] + h * eye)
-    minus = g.value(x[None, :] - h * eye)
-    return (plus - minus) / (2.0 * h)

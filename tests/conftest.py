@@ -1,4 +1,4 @@
-"""Shared builders: generators at test dimensions, domain-aware samplers."""
+"""Shared builders: generators at test dimensions, domain-aware samplers, finite differences."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bregman_bv import (
+    DomainError,
     FullSpace,
     GroupedSampleSet,
     Mahalanobis,
@@ -17,6 +18,8 @@ from bregman_bv import (
     SeparableCustom,
     SquaredEuclidean,
 )
+
+FD_STEP = 1e-6
 
 GENERATOR_NAMES = [
     "squared-euclidean",
@@ -88,6 +91,32 @@ def random_grouped(g, rng, max_groups: int = 4, max_n: int = 5) -> GroupedSample
     k = int(rng.integers(2, max_groups + 1))
     groups = {f"g{i}": random_sample_set(g, rng, max_n=max_n) for i in range(k)}
     return GroupedSampleSet(groups, rng.uniform(0.2, 1.0, size=k))
+
+
+def fd_gradient(g, x):
+    """Central finite differences (step ``FD_STEP``) of the generator value at an interior point.
+
+    The reference for ``grad``.  Requires the point to sit at least 10 steps
+    away from the domain boundary.  On the simplex the probes leave the
+    constraint plane, so the result approximates the gradient of the
+    unconstrained extension; compare against ``grad`` through coordinate
+    differences (the simplex gauge).
+    """
+    x = np.asarray(x, dtype=float)
+    h = FD_STEP
+    dom = g.domain
+    if isinstance(dom, OpenBox):
+        margin = min(np.min(x - dom.lowers), np.min(dom.uppers - x))
+    elif isinstance(dom, OpenSimplex):
+        margin = float(np.min(x))
+    else:
+        margin = np.inf
+    if margin < 10.0 * h:
+        raise DomainError("point too close to the domain boundary for finite differences")
+    eye = np.eye(x.size)
+    plus = g.value(x[None, :] + h * eye)
+    minus = g.value(x[None, :] - h * eye)
+    return (plus - minus) / (2.0 * h)
 
 
 @pytest.fixture(params=GENERATOR_NAMES)

@@ -19,7 +19,6 @@ from bregman_bv import (
     SampleSet,
     SquaredEuclidean,
     emit_divergence_field,
-    emit_samples,
     ingest,
     render_json,
 )
@@ -346,46 +345,12 @@ def _compare_readers(path, group_column, monkeypatch):
 
 
 class TestEmit:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(81)
-        s = SampleSet(rng.uniform(-3, 3, (5, 2)), rng.uniform(0.1, 1.0, 5))
-        path = tmp_path / "out.csv"
-        emit_samples(s, str(path))
-        back = ingest(str(path))
-        assert np.max(np.abs(back.points - s.points)) <= 1e-12
-        assert np.max(np.abs(back.weights - s.weights)) <= 1e-12
-
-    def test_grouped_round_trip(self, tmp_path):
-        grouped = GroupedSampleSet(
-            {"a": SampleSet([[0.0], [2.0]]), "b": SampleSet([[4.0]])}, [0.25, 0.75]
-        )
-        path = tmp_path / "grouped.csv"
-        emit_samples(grouped, str(path))
-        back = ingest(str(path), group_column="group")
-        assert back.weight("a") == pytest.approx(0.25, abs=1e-12)
-        assert np.allclose(back.groups["a"].points.ravel(), [0.0, 2.0])
-
-
     def test_rows_match_fmt_float(self):
         # the cells _fmt_float writes, one at a time: -0.0 as 0, subnormals and extremes exact
-        points = [[-0.0, 5e-324], [1e308, 0.1], [0.1, -0.0]]
-        flat = SampleSet(points, [1.0, 2.0, 3.0])
-        grouped = GroupedSampleSet(
-            {"a b": SampleSet(points[:2], [1.0, 3.0]), 7: SampleSet(points[2:])}, [0.3, 0.7]
-        )
-        want = {
-            flat: "x0,x1,weight\n" + "".join(
-                ",".join(map(_fmt_float, [*p, w])) + "\n"
-                for p, w in zip(flat.points.tolist(), flat.weights.tolist())),
-            grouped: "x0,x1,weight,group\n" + "".join(
-                ",".join(map(_fmt_float, [*p, float(grouped.weight(key)) * w])) + f",{key}\n"
-                for key, group in grouped.items()
-                for p, w in zip(group.points.tolist(), group.weights.tolist())),
-        }
-        for s, text in want.items():
-            out = io.StringIO()
-            emit_samples(s, out)
-            assert out.getvalue() == text
+        table = np.array([[-0.0, 5e-324, 1.0], [1e308, 0.1, 2.0], [0.1, -0.0, 3.0]])
+        for end in ("\n", ",,\n"):
+            want = [",".join(map(_fmt_float, row)) + end for row in table.tolist()]
+            assert list(cli._csv_lines(table, end)) == want
 
 
 class TestRenderJson:
@@ -567,6 +532,24 @@ class TestSubcommands:
         assert capsys.readouterr().err == ""
         report = out.read_bytes()
         assert b'"bias_preserved": true' in report and b'"variance_reduced": true' in report
+
+    @pytest.mark.parametrize("n", [2, 10**20, 2**62])
+    def test_ensemble_one_row_at_any_n(self, tmp_path, capsys, n):
+        # the average of n draws of one row is that row: no enumeration, at any n
+        labels, preds = tmp_path / "l.csv", tmp_path / "p.csv"
+        labels.write_text("x0,x1\n0.5,1.5\n")
+        preds.write_text("x0,x1\n1.0,-2.0\n")
+        out = tmp_path / "ens.json"
+        code = main([
+            "ensemble", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", str(labels), "--predictions", str(preds),
+            "--mode", "dual", "--ensemble-n", str(n), "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_bytes())
+        assert report["ensembled"] == report["base"]
+        assert report["bias_change"] == 0.0 == report["variance_change"]
 
     def test_ensemble_monte_carlo_seeded(self, tmp_path):
         argv = [

@@ -417,6 +417,16 @@ class TestEnsembleEffect:
             assert report.variance_change <= 1e-12
             assert report.bias_preserved and report.variance_reduced
 
+    @pytest.mark.parametrize("n", [2, 10**20, 2**62])
+    @pytest.mark.parametrize("mode", ["primal", "dual"])
+    def test_one_prediction_is_unchanged_at_any_n(self, gen, mode, n):
+        rng = np.random.default_rng(65)
+        predictions = random_sample_set(gen, rng, max_n=1)
+        label = random_sample_set(gen, rng, max_n=1).points[0]
+        report = ensemble_effect(gen, label, predictions, n, mode)
+        assert report.ensembled.as_dict() == report.base.as_dict()
+        assert report.bias_change == 0.0 == report.variance_change
+
     def test_kl_counterexample_directions(self):
         g = NegativeEntropySimplex(2)
         up = ensemble_effect(g, np.array([1.0, 0.0]), kl_pair(), 2, "primal")

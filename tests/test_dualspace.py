@@ -3,6 +3,7 @@
 import array
 import copy
 import copyreg
+import math
 import pickle
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bregman_bv import (
+    ENSEMBLE_ATOM_CAP,
     DomainError,
     EnumerationCapError,
     GroupedSampleSet,
@@ -442,10 +444,23 @@ class TestEnsembleDistribution:
         assert abs(float(np.sum(ens.weights)) - 1.0) <= 1e-12
 
     def test_cap_exceeded(self):
+        # C(59, 10) multisets: the count is checked before any is enumerated
         g = SquaredEuclidean(1)
-        s = SampleSet(np.arange(10, dtype=float)[:, None])
-        with pytest.raises(EnumerationCapError):
-            ensemble_distribution(g, s, 5, "primal", cap=100)
+        s = SampleSet(np.arange(50, dtype=float)[:, None])
+        total = math.comb(59, 10)
+        assert total > ENSEMBLE_ATOM_CAP
+        with pytest.raises(EnumerationCapError) as info:
+            ensemble_distribution(g, s, 10, "primal")
+        message = str(info.value)
+        assert f"needs {total} atoms" in message and f"cap {ENSEMBLE_ATOM_CAP}" in message
+
+    @pytest.mark.parametrize("n", [2, 10**20, 2**62])
+    @pytest.mark.parametrize("mode", ["primal", "dual"])
+    def test_one_atom_is_its_own_ensemble(self, gen, mode, n):
+        # the average of n draws of one atom is that atom, at any n
+        s = random_sample_set(gen, np.random.default_rng(66), max_n=1)
+        assert ensemble_distribution(gen, s, n, mode) is s
+        assert ensemble_distribution(gen, s, n, mode, mc_draws=8, seed=1) is s
 
     def test_monte_carlo_needs_seed(self):
         g = SquaredEuclidean(1)

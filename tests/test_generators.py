@@ -15,10 +15,15 @@ from bregman_bv import (
     SquaredEuclidean,
     divergence,
     dual_divergence,
-    fd_gradient,
     triangle_expansion,
 )
-from conftest import GENERATOR_NAMES, build_generator, fig_2b_generator, random_interior_points
+from conftest import (
+    GENERATOR_NAMES,
+    build_generator,
+    fd_gradient,
+    fig_2b_generator,
+    random_interior_points,
+)
 
 # frozen by direct evaluation of the closed forms (see test bodies)
 KL_HALF_TO_82 = 0.2231435513142097

@@ -18,7 +18,6 @@ from bregman_bv import (
     dual_mean,
     expected_divergence_from,
     expected_divergence_to,
-    fd_gradient,
     primal_mean,
 )
 from bregman_bv import oracle
@@ -26,6 +25,7 @@ from bregman_bv.oracle import CertificationReport, OracleSide, _box_grid_blocks,
 from conftest import (
     GENERATOR_NAMES,
     build_generator,
+    fd_gradient,
     fig_2b_generator,
     random_interior_points,
     random_sample_set,
