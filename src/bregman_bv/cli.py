@@ -19,12 +19,12 @@ import math
 import os
 import sys
 
-from .errors import DomainError, EnumerationCapError, InversionError
+from .errors import EnumerationCapError, InversionError
 
 __all__ = ["ingest", "emit_divergence_field", "render_json"]
 
-# MemoryError: numpy cannot allocate the arrays an option or file asks for
-_INPUT_ERRORS = (DomainError, InversionError, EnumerationCapError, ValueError, OSError, MemoryError)
+# MemoryError: an allocation numpy refuses; OverflowError: a count beyond a C long
+_INPUT_ERRORS = (InversionError, EnumerationCapError, ValueError, OSError, MemoryError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def ingest(path, group_column: str | None = None, *, generator=None, allow_bound
     if lowered.endswith(".csv"):
         points, weights, groups = _read_csv(path, group_column)
     elif lowered.endswith(".json"):
-        points, weights, groups = _read_json(path, group_column)
+        points, weights, groups = _read_json(path)
     else:
         raise ValueError(f"cannot infer format of {path!r}; expected a .csv or .json file")
 
@@ -255,7 +255,7 @@ def _read_csv_rows(path, rows, n_cells, coord_idx, weight_idx, group_idx):
     return points, (weights if weight_idx is not None else None), (groups if group_idx is not None else None)
 
 
-def _read_json(path, group_column):
+def _read_json(path):
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -407,7 +407,8 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
         # halved first, so the sum stays in range; as exact as halving the sum
         axes = [np.array([0.5 * lo[j] + 0.5 * hi[j]]) for j in range(g.dim)]
     else:
-        axes = [np.linspace(lo[j], hi[j], resolution) for j in range(g.dim)]
+        # np.intp raises OverflowError beyond the C range, where linspace would raise IndexError
+        axes = [np.linspace(lo[j], hi[j], np.intp(resolution)) for j in range(g.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     if disk_center is not None:
@@ -569,11 +570,6 @@ def cmd_ensemble(args, g):
         ingest(args.labels, generator=g, allow_boundary=args.label_onehot), "labels"
     )
     predictions = _require_plain(ingest(args.predictions, generator=g), "predictions")
-    if args.mc_draws is not None:
-        if args.mc_draws < 1:
-            raise ValueError(f"--mc-draws must be >= 1, got {args.mc_draws}")
-        if args.seed is None:
-            raise ValueError("--mc-draws needs --seed for a reproducible report")
     return ensemble_effect(
         g, label, predictions, args.ensemble_n, args.mode,
         mc_draws=args.mc_draws, seed=args.seed,
@@ -728,7 +724,8 @@ def main(argv=None) -> int:
         sys.stderr.writelines(f"{message}\n" for message in failures)
         return 2 if failures else 0
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError raised before numpy sizes an array carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -120,9 +120,6 @@ class SampleSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def __repr__(self) -> str:
         return f"SampleSet(n={self.n}, dim={self.dim})"
 
@@ -185,15 +182,6 @@ class GroupedSampleSet:
     @property
     def dim(self) -> int:
         return self._flat.dim
-
-    def keys(self):
-        return self.groups.keys()
-
-    def items(self):
-        return self.groups.items()
-
-    def weight(self, key) -> float:
-        return self._group_weights[key]
 
     def flatten(self) -> SampleSet:
         """Mixture distribution over all groups (built once, at construction)."""
@@ -291,11 +279,8 @@ class _Side(NamedTuple):
             total = float(flat.weights @ self.spread(g, flat.points, whole_center))
         return _GroupedMoments(grouped._weights, centers, within, whole_center, total)
 
-    def average(self, g, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[0] < 1:
-            raise ValueError("need at least one point")
-        return self.from_coords(g, np.mean(self.to_coords(g, points), axis=0))
+    def average(self, g, s: SampleSet):  # unweighted
+        return self.from_coords(g, np.mean(self.to_coords(g, s.points), axis=0))
 
 
 _PRIMAL = _Side(
@@ -335,14 +320,16 @@ def dual_mean(g: ConvexGenerator, s: SampleSet):
     Euclidean, Mahalanobis) grad is linear, so this is the weighted mean
     sum_i w_i x_i, taken without the gradient map and its rounding.
     """
+    check_samples(g, s)
     return _DUAL.center(g, s)
 
 
 def primal_variance(g: ConvexGenerator, s: SampleSet) -> float:
     """Expected divergence from the samples to their primal mean.
 
-    Exactly zero for a constant sample set.
+    Exactly zero for a constant sample set.  One-hot labels are valid samples.
     """
+    check_samples(g, s, allow_boundary=True)
     return _PRIMAL.variance(g, s)
 
 
@@ -351,12 +338,13 @@ def dual_variance(g: ConvexGenerator, s: SampleSet) -> float:
 
     Exactly zero for a constant sample set.
     """
+    check_samples(g, s)
     return _DUAL.variance(g, s)
 
 
 def primal_average(points):
     """Plain arithmetic mean of a batch of points."""
-    return _PRIMAL.average(None, points)
+    return _PRIMAL.average(None, SampleSet(points))
 
 
 def dual_average(g: ConvexGenerator, points):
@@ -365,7 +353,9 @@ def dual_average(g: ConvexGenerator, points):
     For the simplex entropy generator this is the normalized geometric mean
     of the points.
     """
-    return _DUAL.average(g, points)
+    s = SampleSet(points)
+    check_samples(g, s)
+    return _DUAL.average(g, s)
 
 
 def _compositions(parts: int, total: int):
@@ -420,7 +410,8 @@ def ensemble_distribution(
         if seed is None:
             raise ValueError("Monte Carlo ensembling requires an explicit seed")
         rng = np.random.default_rng(int(seed))
-        idx = rng.choice(s.n, size=(int(mc_draws), n), p=s.weights)
+        # np.intp raises OverflowError beyond the C range, where choice would warn first
+        idx = rng.choice(s.n, size=(np.intp(mc_draws), np.intp(n)), p=s.weights)
         return SampleSet(side.from_coords(g, np.mean(coords[idx], axis=1)))
     total = math.comb(n + s.n - 1, n)
     if total > ENSEMBLE_ATOM_CAP:

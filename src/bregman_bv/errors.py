@@ -12,4 +12,4 @@ class InversionError(RuntimeError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Exact ensemble enumeration would exceed the configured atom cap."""
+    """Exact ensemble enumeration would exceed the atom cap, ``ENSEMBLE_ATOM_CAP``."""

@@ -56,10 +56,11 @@ def _objective_to(g: ConvexGenerator, s: SampleSet):
     The sample terms that are linear in z are pre-summed once; the search
     itself never touches grad_conj.
     """
-    fx = np.asarray(g.value(s.points), dtype=float)
-    gx = np.asarray(g.grad(s.points), dtype=float)
-    grad_mean = s.weights @ gx
-    const = float(s.weights @ (np.sum(gx * s.points, axis=-1) - fx))
+    with np.errstate(over="ignore", invalid="ignore"):  # samples near the float range: phi is inf
+        fx = np.asarray(g.value(s.points), dtype=float)
+        gx = np.asarray(g.grad(s.points), dtype=float)
+        grad_mean = s.weights @ gx
+        const = float(s.weights @ (np.sum(gx * s.points, axis=-1) - fx))
 
     def phi(z):
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -72,8 +73,9 @@ def _objective_to(g: ConvexGenerator, s: SampleSet):
 
 def _objective_from(g: ConvexGenerator, s: SampleSet):
     """psi(z) = sum_i w_i D(x_i, z), rebuilt from value/grad primitives."""
-    const = float(s.weights @ np.asarray(g.value(s.points), dtype=float))
-    point_mean = s.weights @ s.points
+    with np.errstate(over="ignore", invalid="ignore"):  # samples near the float range: psi is inf
+        const = float(s.weights @ np.asarray(g.value(s.points), dtype=float))
+        point_mean = s.weights @ s.points
 
     def psi(z):
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -100,12 +102,8 @@ def _box_bounds(g: ConvexGenerator, s: SampleSet):
     if isinstance(dom, OpenBox):
         width = dom.uppers - dom.lowers
         return dom.lowers + 1e-9 * width, dom.uppers - 1e-9 * width
-    if isinstance(dom, FullSpace):
-        lo = np.min(s.points, axis=0) - 1.0
-        hi = np.max(s.points, axis=0) + 1.0
-        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-            raise ValueError("cannot bracket an unbounded domain without finite samples")
-        return lo, hi
+    if isinstance(dom, FullSpace):  # finite: every SampleSet row is
+        return np.min(s.points, axis=0) - 1.0, np.max(s.points, axis=0) + 1.0
     raise ValueError(f"no box bounds for domain kind {dom.kind!r}")
 
 
@@ -223,7 +221,8 @@ def _argmin(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, objective):
         step = np.full(d, 1.0 / r)
     else:
         lo, hi = _box_bounds(g, s)
-        blocks = _box_grid_blocks([np.linspace(lo[j], hi[j], r) for j in range(d)])
+        # np.intp raises OverflowError beyond the C range, where linspace would raise IndexError
+        blocks = _box_grid_blocks([np.linspace(lo[j], hi[j], np.intp(r)) for j in range(d)])
         moves = [(j, j) for j in range(d)]
         step = (hi - lo) / (r - 1)
     z, best = _best_on_grid(objective, blocks)

@@ -150,7 +150,7 @@ def test_criterion_5_iterated_dual_expectation():
             whole = dual_mean(g, grouped.flatten())
             inner = SampleSet(
                 [dual_mean(g, s) for s in grouped.groups.values()],
-                [grouped.weight(k) for k in grouped.keys()],
+                [grouped.group_weights[k] for k in grouped.groups],
             )
             worst = max(worst, float(np.max(np.abs(dual_mean(g, inner) - whole))))
     _verdict(5, "iterated dual expectation", worst <= 1e-10,

@@ -1,15 +1,17 @@
 """Ingestion, emission, JSON rendering and the subcommand/exit-code contract."""
 
+import contextlib
 import csv
 import io
 import json
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregman_bv import (
@@ -123,8 +125,8 @@ class TestIngest:
     def test_json_groups(self):
         grouped = ingest(fx("preds_grouped.json"))
         assert isinstance(grouped, GroupedSampleSet)
-        assert sorted(grouped.keys()) == ["a", "b"]
-        assert grouped.weight("a") == pytest.approx(0.5)
+        assert sorted(grouped.groups) == ["a", "b"]
+        assert grouped.group_weights["a"] == pytest.approx(0.5)
         assert grouped.groups["a"].n == 2
 
     def test_json_group_keys_stay_exact(self, tmp_path):
@@ -133,7 +135,7 @@ class TestIngest:
         path = tmp_path / "keys.json"
         path.write_text(json.dumps({"points": [[0.1 * k, 1.0] for k in range(4)], "groups": keys}))
         grouped = ingest(path)
-        assert list(grouped.keys()) == keys
+        assert list(grouped.groups) == keys
         assert all(grouped.groups[key].n == 1 for key in keys)
 
     def test_json_group_keys_merge_as_dict_keys(self, tmp_path):
@@ -141,13 +143,13 @@ class TestIngest:
         path.write_text(json.dumps({"points": [[0.1 * k, 1.0] for k in range(5)],
                                     "groups": [1, "a", 1.0, True, "a"]}))
         grouped = ingest(path)
-        assert list(grouped.keys()) == [1, "a"]
+        assert list(grouped.groups) == [1, "a"]
         assert grouped.groups[1].points[:, 0].tolist() == [0.0, 0.2, 0.30000000000000004]
-        assert grouped.weight(1) == 0.6
+        assert grouped.group_weights[1] == 0.6
 
     def test_csv_group_column(self):
         grouped = ingest(fx("grouped_euclid.csv"), group_column="z")
-        assert grouped.weight("a") == pytest.approx(0.6)
+        assert grouped.group_weights["a"] == pytest.approx(0.6)
         assert np.allclose(grouped.groups["a"].weights, [1.0 / 3.0, 2.0 / 3.0])
 
     def test_group_column_ignored_when_not_requested(self):
@@ -222,7 +224,7 @@ class TestIngest:
         path = tmp_path / "huge.csv"
         path.write_text("x0,x1,weight,z\n1,2,1e308,a\n3,4,1e308,a\n1,2,1e308,b\n3,4,1e308,b\n")
         grouped = ingest(str(path), group_column="z")
-        assert [grouped.weight(k) for k in ("a", "b")] == [0.5, 0.5]
+        assert [grouped.group_weights[k] for k in ("a", "b")] == [0.5, 0.5]
         assert grouped.groups["a"].weights.tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize("cell, fast", [
@@ -784,7 +786,7 @@ class TestExitCodes:
             "--mode", "primal", "--ensemble-n", "2", "--mc-draws", draws, "--seed", "1",
         ])
         assert code == 1
-        assert capsys.readouterr().err == f"error: --mc-draws must be >= 1, got {draws}\n"
+        assert capsys.readouterr().err == f"error: mc_draws must be >= 1, got {draws}\n"
 
     def test_overflowing_coordinates_are_input_error(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
@@ -824,13 +826,24 @@ class TestExitCodes:
         assert report["bayes_error"] == pytest.approx(np.log(2.0), rel=1e-15)
         assert report["central_label"] == [0.5, 0.5, 0.0]
 
-    def test_mc_without_seed(self):
+    def test_mc_without_seed(self, capsys):
         code = main([
             "ensemble", "--generator", "squared-euclidean", "--dim", "2",
             "--labels", fx("point_euclid.csv"), "--predictions", fx("preds_euclid.csv"),
             "--mode", "primal", "--ensemble-n", "2", "--mc-draws", "16",
         ])
         assert code == 1
+        assert capsys.readouterr().err == "error: Monte Carlo ensembling requires an explicit seed\n"
+
+    def test_mc_without_seed_on_one_atom(self, capsys):
+        # the ensemble of a one-row file is that row: nothing is drawn, so no seed is needed
+        code = main([
+            "ensemble", "--generator", "squared-euclidean", "--dim", "2",
+            "--labels", fx("point_euclid.csv"), "--predictions", fx("point_euclid.csv"),
+            "--mode", "primal", "--ensemble-n", "2", "--mc-draws", "16",
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("payload, message", [
         pytest.param('{"points": [[0.5, 0.5], [1%s, 0.4]]}' % ("0" * 400),
@@ -1035,6 +1048,8 @@ _FIELD = ["field", *_EUCLID, "--center=0,0"]
                  "labels must contain exactly one row (deterministic side), got 3"),
     _input_error("check-no-file", ["check", *_EUCLID],
                  "check takes exactly one sample file (--labels or --predictions)"),
+    _input_error("check-huge-samples", ["check", *_EUCLID, "--labels", "h.json", "--grid-resolution", "5"],
+                 "no grid point with a finite objective value", {"h.json": '{"points": [[0.25, 1e308]]}'}),
     _input_error("check-two-files", ["check", *_EUCLID, "--labels", "p.csv", "--predictions", "p.csv"],
                  "check takes exactly one sample file (--labels or --predictions)", {"p.csv": "x0,x1\n1,2\n"}),
     _input_error("total-variance-two-files", ["total-variance", *_EUCLID, "--labels", "p.csv",
@@ -1058,3 +1073,122 @@ def test_input_error_exits_one(tmp_path, monkeypatch, capsys, argv, message, fil
         message = message.replace(name, path)
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_BEYOND_C = str(10**20)  # beyond a C long: numpy refuses it before allocating anything
+
+
+@pytest.mark.parametrize("argv", [
+    ["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "dual",
+     "--ensemble-n", _BEYOND_C, "--mc-draws", "4", "--seed", "1"],
+    ["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "dual",
+     "--ensemble-n", "3", "--mc-draws", _BEYOND_C, "--seed", "1"],
+    ["check", "--generator", "negative-entropy-simplex", "--dim", "3", "--labels", "s.csv",
+     "--grid-resolution", _BEYOND_C],
+    # a lattice whose index tuple cannot be sized raises a MemoryError with no message
+    ["check", "--generator", "negative-entropy-simplex", "--dim", "3", "--labels", "s.csv",
+     "--grid-resolution", str(2**62)],
+], ids=["ensemble-n", "mc-draws", "grid-resolution", "grid-resolution-2**62"])
+def test_counts_beyond_numpy_sizes_are_input_errors(tmp_path, capsys, argv):
+    files = {"p.csv": "x0,x1\n0.1,0.2\n0.3,0.5\n", "l.csv": "x0,x1\n0,0\n",
+             "s.csv": "x0,x1,x2\n0.2,0.3,0.5\n0.6,0.3,0.1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.strip() != "error:"
+
+
+# Sample files the fuzz below draws from: rows on the open simplex, so each is
+# valid under every built-in generator of dimension 2, plus one random file.
+_FUZZ_FILES = {
+    "one.csv": "x0,x1\n0.25,0.75\n",
+    "two.csv": "x0,x1,weight\n0.5,0.5,1\n0.25,0.75,3\n",
+    "grouped.csv": "x0,x1,z\n0.5,0.5,a\n0.25,0.75,b\n0.75,0.25,a\n",
+    "grouped.json": '{"points": [[0.5, 0.5], [0.25, 0.75]], "groups": [1, 2]}',
+}
+# option values: boundary values and values beyond the sizes numpy can index, none
+# of which allocates anything (a mid-size count, such as 10**9 grid points, would)
+_FUZZ_COUNTS = ["-1", "0", "1", "2", "3", str(2**63), _BEYOND_C]
+_FUZZ_CELLS = ["0.25", "0.75", "-1", "0", "1e308", "1e400", "NaN", '"x"']
+
+
+@st.composite
+def _fuzz_file(draw):
+    """A small CSV or JSON sample file: (name, text)."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    rows = draw(st.lists(st.lists(st.sampled_from(_FUZZ_CELLS), min_size=d, max_size=d),
+                         min_size=0, max_size=3))
+    keys = [draw(st.sampled_from(["a", "b"])) for _ in rows] if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        header = [f"x{j}" for j in range(d)] + ([] if keys is None else ["z"])
+        cells = rows if keys is None else [row + [key] for row, key in zip(rows, keys)]
+        return "random.csv", "\n".join(",".join(row) for row in [header, *cells]) + "\n"
+    groups = "" if keys is None else ', "groups": ' + json.dumps(keys)
+    return "random.json", '{"points": [%s]%s}' % (", ".join(f"[{', '.join(row)}]" for row in rows), groups)
+
+
+def _fuzz_value(*defaults):
+    """An option value: one of ``defaults`` (None leaves the option out) or a pool value."""
+    return st.one_of(st.sampled_from(defaults), st.sampled_from(_FUZZ_COUNTS))
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """(random file to write, argv) for one CLI run: a valid run with drawn option values."""
+    random_name, random_text = draw(_fuzz_file())
+
+    def sample_file(name):  # now and then the random file instead
+        return draw(st.sampled_from([name, name, name, random_name]))
+
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    generator = draw(st.sampled_from(["squared-euclidean", "negative-entropy-simplex"]))
+    argv = [command, "--generator", generator, "--dim", draw(_fuzz_value("2"))]
+    if command == "decompose":
+        argv += ["--labels", sample_file("two.csv"), "--predictions", sample_file("one.csv")]
+    elif command == "total-variance":
+        role = draw(st.sampled_from(["--labels", "--predictions"]))
+        argv += [role, sample_file(draw(st.sampled_from(["grouped.csv", "grouped.json"]))), "--group-col", "z",
+                 "--mode", draw(st.sampled_from(["primal", "dual"]))]
+    elif command == "conditional":
+        files = [sample_file("grouped.csv"), sample_file("one.csv")]
+        if draw(st.booleans()):
+            files.reverse()
+        argv += ["--labels", files[0], "--predictions", files[1], "--group-col", "z"]
+    elif command == "ensemble":
+        argv += ["--labels", sample_file("one.csv"), "--predictions", sample_file("two.csv"),
+                 "--mode", draw(st.sampled_from(["primal", "dual"])), "--ensemble-n", draw(_fuzz_value("2", "3"))]
+        for option, value in (("--mc-draws", draw(_fuzz_value(None, "4"))), ("--seed", draw(_fuzz_value(None, "1")))):
+            argv += [] if value is None else [option, value]
+    elif command == "check":
+        argv += ["--labels", sample_file("two.csv"), "--grid-resolution", draw(_fuzz_value("5"))]
+    else:
+        argv += ["--center=0.5,0.5", "--resolution", draw(_fuzz_value("3"))]
+        argv += draw(st.sampled_from([["--region", "box", "--lo=0.1,0.1", "--hi=0.9,0.9"],
+                                      ["--region", "disk", "--radius=0.3"]]))
+    return {random_name: random_text}, argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzz_argv())
+# counts beyond a C long that escaped as tracebacks, and samples whose oracle objective overflows
+@example(({}, ["ensemble", *_EUCLID, "--labels", "one.csv", "--predictions", "two.csv", "--mode", "dual",
+              "--ensemble-n", _BEYOND_C, "--mc-draws", "4", "--seed", "1"]))
+@example(({}, ["check", "--generator", "negative-entropy-simplex", "--dim", "2", "--labels", "two.csv",
+              "--grid-resolution", str(2**63)]))
+@example(({"random.json": '{"points": [[0.25, 1e308]]}'}, ["check", *_EUCLID, "--labels", "random.json"]))
+def test_cli_fuzz_exits_cleanly(case):
+    # every run ends in a report (0 or 2) or one input-error line (1), never a traceback
+    random_file, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in {**_FUZZ_FILES, **random_file}.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        argv = [str(Path(tmp, arg)) if arg in _FUZZ_FILES or arg in random_file else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0] != "error: ", lines

@@ -404,6 +404,12 @@ class TestConditional:
         with pytest.raises(DomainError):
             conditional_label(g, grouped, np.array([1.0, 0.0]))
 
+    def test_label_of_wrong_dimension_rejected(self):
+        g = NegativeEntropySimplex(2)
+        grouped = GroupedSampleSet({"a": SampleSet([[0.5, 0.5]])})
+        with pytest.raises(DomainError, match=r"^label: expected trailing dimension 2, got shape \(3,\)$"):
+            conditional_prediction(g, np.array([0.2, 0.3, 0.5]), grouped)
+
 
 class TestEnsembleEffect:
     @pytest.mark.parametrize("n", [2, 3])

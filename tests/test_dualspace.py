@@ -265,8 +265,8 @@ class TestGroupedSampleSet:
         grouped = GroupedSampleSet(
             {"a": SampleSet([[0.0]]), "b": SampleSet([[4.0]])}, {"a": 1e308, "b": 1.5e308}
         )
-        assert grouped.weight("a") == pytest.approx(0.4, rel=1e-15)
-        assert grouped.weight("b") == pytest.approx(0.6, rel=1e-15)
+        assert grouped.group_weights["a"] == pytest.approx(0.4, rel=1e-15)
+        assert grouped.group_weights["b"] == pytest.approx(0.6, rel=1e-15)
 
 
 class TestCheckSamples:
@@ -417,6 +417,37 @@ class TestAverages:
         g = NegativeEntropySimplex(2)
         assert np.allclose(dual_average(g, [[0.8, 0.2]]), [0.8, 0.2], atol=1e-12)
 
+    def test_rejects_what_a_sample_set_rejects(self):
+        for average in (primal_average, lambda points: dual_average(SquaredEuclidean(2), points)):
+            with pytest.raises(ValueError, match=r"^points must form a nonempty \(n, d\) array$"):
+                average([])
+            with pytest.raises(ValueError, match=r"^non-finite coordinates in data rows \[1\]$"):
+                average([[0.5, 0.5], [np.nan, 0.5]])
+
+    def test_dual_average_rejects_off_domain_points(self):
+        with pytest.raises(DomainError, match=r"^samples \[0\] outside the open-simplex domain$"):
+            dual_average(NegativeEntropySimplex(2), [[0.5, 0.6]])
+
+
+class TestMomentsCheckTheirSamples:
+    OFF_SIMPLEX = SampleSet([[0.5, 0.6], [-0.1, 1.1]])
+
+    @pytest.mark.parametrize("moment", [dual_mean, primal_variance, dual_variance])
+    def test_wrong_dimension(self, moment):
+        with pytest.raises(DomainError, match=r"^points have dimension 2, generator expects 3$"):
+            moment(SquaredEuclidean(3), SampleSet([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("moment", [dual_mean, primal_variance, dual_variance])
+    def test_off_domain_rows(self, moment):
+        with pytest.raises(DomainError, match=r"^samples \[0, 1\] outside the open-simplex domain$"):
+            moment(NegativeEntropySimplex(2), self.OFF_SIMPLEX)
+
+    def test_primal_variance_takes_one_hot_labels(self):
+        g = NegativeEntropySimplex(2)
+        assert primal_variance(g, SampleSet([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx(np.log(2.0), abs=1e-15)
+        with pytest.raises(DomainError):
+            dual_variance(g, SampleSet([[1.0, 0.0], [0.0, 1.0]]))
+
 
 class TestEnsembleDistribution:
     def test_size_one_returns_input(self):
@@ -508,7 +539,7 @@ class TestDualMeanLaws:
             whole = dual_mean(gen, grouped.flatten())
             inner = SampleSet(
                 [dual_mean(gen, s) for s in grouped.groups.values()],
-                [grouped.weight(k) for k in grouped.keys()],
+                [grouped.group_weights[k] for k in grouped.groups],
             )
             assert np.max(np.abs(dual_mean(gen, inner) - whole)) <= 1e-10
 

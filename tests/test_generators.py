@@ -74,6 +74,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not strictly convex"):
             SeparableCustom([(lambda t: -(t**2), lambda t: -2.0 * t, -1.0, 1.0)])
 
+    def test_rejects_piece_not_finite_inside(self):
+        square = (lambda t: t**2, lambda t: 2.0 * t, -1.0, 1.0)
+        # infinite on part of the interior, where the construction probes it
+        spike = (lambda t: np.where(t > 0.5, np.inf, t**2), lambda t: 2.0 * t, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^piece 1 is not finite on the interior of its interval$"):
+            SeparableCustom([square, spike])
+
+    @pytest.mark.parametrize("lowers, uppers, message", [
+        ([0.0, 0.0], [1.0], "box bounds must be two vectors of equal length"),
+        ([[0.0]], [[1.0]], "box bounds must be two vectors of equal length"),
+        ([0.0, -np.inf], [1.0, 1.0], "box bounds must be finite"),
+        ([0.0, 0.0], [1.0, np.nan], "box bounds must be finite"),
+        ([0.0, 1.0], [1.0, 1.0], "each box interval needs lower < upper"),
+    ], ids=["lengths", "matrices", "infinite", "nan", "empty-interval"])
+    def test_open_box_rejects_bad_bounds(self, lowers, uppers, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OpenBox(lowers, uppers)
+
 
 def _contains_with_finiteness(domain, x, allow_boundary):
     """Membership with an explicit finiteness test, which the domains leave to their comparisons."""

@@ -84,8 +84,8 @@ def ref_dual_average(g, points):
 
 def ref_total_variance(g, grouped, mode):
     flat = grouped.flatten()
-    keys = list(grouped.keys())
-    weights = np.asarray([grouped.weight(k) for k in keys])
+    keys = list(grouped.groups)
+    weights = np.asarray([grouped.group_weights[k] for k in keys])
     if mode == "primal":
         total = ref_primal_variance(g, flat)
         unexplained = float(weights @ [ref_primal_variance(g, grouped.groups[k]) for k in keys])
@@ -120,8 +120,8 @@ def _conditional_dict(cb, cv, ub, uv, gap, side):
 
 def ref_conditional_prediction(g, label, grouped):
     flat = grouped.flatten()
-    keys = list(grouped.keys())
-    weights = np.asarray([grouped.weight(k) for k in keys])
+    keys = list(grouped.groups)
+    weights = np.asarray([grouped.group_weights[k] for k in keys])
     centers = np.asarray([ref_dual_mean(g, grouped.groups[k]) for k in keys])
     whole = ref_dual_mean(g, flat)
     return _conditional_dict(
@@ -136,8 +136,8 @@ def ref_conditional_prediction(g, label, grouped):
 
 def ref_conditional_label(g, grouped, prediction):
     flat = grouped.flatten()
-    keys = list(grouped.keys())
-    weights = np.asarray([grouped.weight(k) for k in keys])
+    keys = list(grouped.groups)
+    weights = np.asarray([grouped.group_weights[k] for k in keys])
     centers = np.asarray([ref_primal_mean(grouped.groups[k]) for k in keys])
     whole = ref_primal_mean(flat)
     return _conditional_dict(
@@ -226,7 +226,7 @@ def test_grouped_moments_match_mirror_formulas(gen, case, mode):
     assert moments.within.tolist() == [variance(g, s) for s in sets]
     assert np.array_equal(moments.whole_center, mean(grouped.flatten()))
     assert moments.total == variance(g, grouped.flatten())
-    assert moments.weights.tolist() == [grouped.weight(k) for k in grouped.keys()]
+    assert moments.weights.tolist() == [grouped.group_weights[k] for k in grouped.groups]
 
 
 @pytest.mark.parametrize("case", [*SEEDS, "large"])
