@@ -367,7 +367,7 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     import numpy as np
 
     center = np.asarray(center, dtype=float)
-    g.domain.validate_second(center)
+    g.domain.validate(center, role="center")
     kind = region.get("kind")
     if kind == "box":
         lo = np.asarray(region["lo"], dtype=float)
@@ -415,9 +415,6 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
         pts = pts[np.sqrt(np.sum((pts - disk_center) ** 2, axis=-1)) <= radius]
 
     in_domain = g.domain.contains(pts)
-    floor = getattr(g.domain, "second_arg_floor", None)
-    if floor is not None:
-        in_domain = in_domain & np.all(pts >= floor, axis=-1)
 
     from_vals = np.full(pts.shape[0], np.nan)
     to_vals = np.full(pts.shape[0], np.nan)
@@ -513,13 +510,14 @@ def cmd_decompose(args, g):
 
 def cmd_total_variance(args, g):
     from .decomposition import total_variance
-    from .dualspace import GroupedSampleSet
+    from .dualspace import GroupedSampleSet, _side
 
     path = args.labels or args.predictions
     if not path or (args.labels and args.predictions):
         raise ValueError("total-variance takes exactly one grouped file (--labels or --predictions)")
-    grouped = ingest(path, group_column=args.group_col, generator=g,
-                     allow_boundary=bool(args.labels and args.label_onehot))
+    # one-hot rows pass ingest only on the side whose report accepts them
+    onehot = bool(args.labels and args.label_onehot) and _side(args.mode).boundary_samples
+    grouped = ingest(path, group_column=args.group_col, generator=g, allow_boundary=onehot)
     if not isinstance(grouped, GroupedSampleSet):
         raise ValueError("total-variance needs grouped input; pass --group-col or JSON groups")
     return total_variance(g, grouped, args.mode)

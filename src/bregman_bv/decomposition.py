@@ -264,7 +264,7 @@ def conditional_label(
     divergence from the per-group label means to the overall label mean.
     """
     prediction = np.asarray(prediction, dtype=float)
-    g.domain.validate_second(prediction)
+    g.domain.validate(prediction, role="prediction")
     return _conditional(g, _PRIMAL, grouped_labels, prediction)
 
 

@@ -409,7 +409,9 @@ def ensemble_distribution(
     if mc_draws is not None:
         if seed is None:
             raise ValueError("Monte Carlo ensembling requires an explicit seed")
-        rng = np.random.default_rng(int(seed))
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        rng = np.random.default_rng(seed)
         # np.intp raises OverflowError beyond the C range, where choice would warn first
         idx = rng.choice(s.n, size=(np.intp(mc_draws), np.intp(n)), p=s.weights)
         return SampleSet(side.from_coords(g, np.mean(coords[idx], axis=1)))

@@ -67,10 +67,6 @@ class Domain:
         if not np.all(self.contains(x, allow_boundary=allow_boundary)):
             raise DomainError(f"{role} outside the {self.kind} domain")
 
-    def validate_second(self, x):
-        """Validation for points used in second (gradient) argument position."""
-        self.validate(x, role="second divergence argument")
-
 
 class FullSpace(Domain):
     """All of R^d."""
@@ -116,14 +112,12 @@ class OpenSimplex(Domain):
     """Strictly positive vectors summing to one, within a fixed tolerance.
 
     Membership allows the sum to deviate from 1 by at most ``sum_tolerance``.
-    Second divergence arguments must additionally stay ``second_arg_floor``
-    away from the boundary; closer points raise instead of being clamped,
-    since clamping would silently corrupt the identity checks built on top.
+    Any positive coordinate is valid, however small; zero coordinates pass
+    only with ``allow_boundary``, as one-hot first divergence arguments do.
     """
 
     kind = "open-simplex"
     sum_tolerance = 1e-9
-    second_arg_floor = 1e-12
 
     def contains(self, x, allow_boundary: bool = False):
         x = np.asarray(x, dtype=float)
@@ -133,14 +127,6 @@ class OpenSimplex(Domain):
             on_plane = np.abs(np.sum(x, axis=-1) - 1.0) <= self.sum_tolerance
         # one whole-array pass first: the per-row reduction only when some sign fails
         return on_plane if sign.all() else on_plane & np.all(sign, axis=-1)
-
-    def validate_second(self, x):
-        self.validate(x, role="second divergence argument")
-        if np.any(np.asarray(x, dtype=float) < self.second_arg_floor):
-            raise DomainError(
-                "second divergence argument has a coordinate below "
-                f"{self.second_arg_floor:g}; refusing to clamp near the simplex boundary"
-            )
 
 
 class ConvexGenerator:
@@ -427,7 +413,7 @@ def divergence(g: ConvexGenerator, y, x, *, validate: bool = True):
     x = np.asarray(x, dtype=float)
     if validate:
         g.domain.validate(y, allow_boundary=g.boundary_first_args, role="first divergence argument")
-        g.domain.validate_second(x)
+        g.domain.validate(x, role="second divergence argument")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = g.divergence_kernel(y, x)
     if not np.all(np.isfinite(out)):

@@ -630,6 +630,44 @@ class TestOffset:
             assert main(reports[key]) == 0, key
 
 
+_CONFIDENT_ROWS = ["0.97,3e-14,0.02999999999997", "0.95,5e-14,0.04999999999995", "0.99,2e-14,0.00999999999998"]
+_CONFIDENT_FILES = {
+    "l.csv": "x0,x1,x2\n1,0,0\n",
+    "one.csv": "x0,x1,x2\n0.98,1e-13,0.0199999999999\n",
+    "conf.csv": "x0,x1,x2\n" + "".join(f"{row}\n" for row in _CONFIDENT_ROWS),
+    "gconf.csv": "x0,x1,x2,z\n" + "".join(f"{row},{z}\n" for row, z in zip(_CONFIDENT_ROWS, "aab")),
+    "glab3.csv": "x0,x1,x2,z\n1,0,0,a\n0,1,0,a\n0,0,1,b\n",
+}
+_SIMPLEX3 = ["--generator", "negative-entropy-simplex", "--dim", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", *_SIMPLEX3, "--labels", "l.csv", "--predictions", "one.csv", "--label-onehot"],
+    ["decompose", *_SIMPLEX3, "--labels", "l.csv", "--predictions", "conf.csv", "--label-onehot"],
+    ["conditional", *_SIMPLEX3, "--labels", "l.csv", "--predictions", "gconf.csv", "--group-col", "z",
+     "--label-onehot"],
+    ["conditional", *_SIMPLEX3, "--labels", "glab3.csv", "--predictions", "one.csv", "--group-col", "z",
+     "--label-onehot"],
+    ["ensemble", *_SIMPLEX3, "--labels", "l.csv", "--predictions", "conf.csv", "--label-onehot",
+     "--mode", "dual", "--ensemble-n", "2"],
+    ["field", *_SIMPLEX3, "--center", "0.98,1e-13,0.0199999999999", "--region", "disk", "--radius", "0.01",
+     "--resolution", "5"],
+], ids=["decompose-one", "decompose-three", "conditional-prediction", "conditional-label", "ensemble", "field"])
+def test_confident_predictions_certify(tmp_path, capsys, argv):
+    # central predictions of confident softmax rows have coordinates far below 1e-12;
+    # they are inside the open simplex, in second-argument position as anywhere else
+    for name, text in _CONFIDENT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in _CONFIDENT_FILES else arg for arg in argv]
+    assert main(argv) == 0  # 0: the report passes its gate
+    out, err = capsys.readouterr()
+    assert err == ""
+    if argv[0] == "decompose":
+        assert 0.0 < json.loads(out)["central_prediction"][1] < 1e-12
+    if argv[0] == "field":
+        assert any(not line.endswith(",,") for line in out.splitlines()[1:])
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         code = main([
@@ -1058,6 +1096,18 @@ _FIELD = ["field", *_EUCLID, "--center=0,0"]
                  {"p.csv": "x0,x1\n1,2\n"}),
     _input_error("total-variance-ungrouped", ["total-variance", *_EUCLID, "--labels", "p.csv", "--mode", "primal"],
                  "total-variance needs grouped input; pass --group-col or JSON groups", {"p.csv": "x0,x1\n1,2\n"}),
+    # dual reports refuse one-hot rows, so ingest does too and names the file rows
+    *(_input_error(f"total-variance-dual-onehot-{case}",
+                   ["total-variance", *_SIMPLEX3, "--labels", "glab.csv", "--group-col", "z", "--mode", "dual",
+                    "--label-onehot"],
+                   f"glab.csv: samples {rows} outside the open-simplex domain", {"glab.csv": "x0,x1,x2,z\n" + text})
+      for case, rows, text in (("grouped", "[0, 1]", "1,0,0,a\n0,1,0,a\n0.2,0.3,0.5,b\n"),
+                               ("interleaved", "[0, 2]", "1,0,0,a\n0.2,0.3,0.5,b\n0,1,0,a\n"))),
+    _input_error("negative-seed", ["ensemble", *_SIMPLEX3, "--labels", "l.csv", "--predictions", "p.csv",
+                                   "--mode", "dual", "--ensemble-n", "3", "--mc-draws", "4", "--seed", "-1",
+                                   "--label-onehot"],
+                 "seed must be a nonnegative integer, got -1",
+                 {"l.csv": "x0,x1,x2\n1,0,0\n", "p.csv": "x0,x1,x2\n0.7,0.2,0.1\n0.5,0.3,0.2\n"}),
     _input_error("thread-cap-not-integer", ["decompose", *_EUCLID, "--labels", fx("labels_euclid.csv"),
                                             "--predictions", fx("preds_euclid.csv")],
                  "BREGMAN_BV_THREADS must be a nonnegative integer", env={"BREGMAN_BV_THREADS": "two"}),

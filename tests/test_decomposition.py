@@ -1,7 +1,9 @@
 """Decomposition identity, total-variance laws, conditional gaps, ensembling."""
 
+import decimal
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -280,6 +282,61 @@ def test_terms_invariant_under_atom_rearrangement(name, seed, move, side):
     tol = 1e-9 * max(1.0, base.expected_loss)
     for term in ("expected_loss", "bayes_error", "bias", "model_variance"):
         assert abs(getattr(moved, term) - getattr(base, term)) <= tol, term
+
+
+def _decimal_kl(y, x):
+    """Generalized KL sum y ln(y / x) - sum y + sum x in the current decimal context; 0 ln 0 = 0."""
+    return sum(a * (a / b).ln() for a, b in zip(y, x) if a) - sum(y) + sum(x)
+
+
+def test_confident_decomposition_matches_a_60_digit_reference():
+    # the central prediction's middle coordinate is ~3.1e-14
+    rows = [[0.97, 3e-14, 0.02999999999997], [0.95, 5e-14, 0.04999999999995], [0.99, 2e-14, 0.00999999999998]]
+    report = decompose(NegativeEntropySimplex(3), SampleSet([[1.0, 0.0, 0.0]]), SampleSet(rows))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = [[Decimal(v) for v in row] for row in rows]  # the floats' exact values
+        label = [Decimal(1), Decimal(0), Decimal(0)]
+        geometric = [(sum(row[k].ln() for row in p) / len(p)).exp() for k in range(3)]
+        central = [v / sum(geometric) for v in geometric]
+        reference = {
+            "expected_loss": sum(_decimal_kl(label, row) for row in p) / len(p),
+            "bias": _decimal_kl(label, central),
+            "model_variance": sum(_decimal_kl(central, row) for row in p) / len(p),
+        }
+    assert report.bayes_error == 0.0
+    for term, value in reference.items():
+        assert abs(getattr(report, term) - float(value)) <= 1e-13 * float(value), term
+    for got, value in zip(report.central_prediction, central):
+        assert abs(got - float(value)) <= 1e-13 * float(value)
+
+
+@st.composite
+def _confident_case(draw):
+    """A one-hot label and simplex rows whose coordinate ``tiny_at`` is log-uniform in [1e-300, 1e-12]."""
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    tiny_at = draw(st.integers(0, dim - 1))
+    rows = []
+    for _ in range(n):
+        tiny = 10.0 ** draw(st.floats(-300.0, -12.0))
+        rest = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=dim - 1, max_size=dim - 1)))
+        rows.append(np.insert(rest / np.sum(rest) * (1.0 - tiny), tiny_at, tiny))
+    keys = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    label = np.eye(dim)[draw(st.integers(0, dim - 1))]
+    return label, np.array(rows), keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_confident_case())
+def test_confident_predictions_certify(case):
+    label, rows, keys = case
+    g = NegativeEntropySimplex(rows.shape[1])
+    assert decompose(g, SampleSet([label]), SampleSet(rows)).failures(1e-9) == []
+    grouped = GroupedSampleSet({
+        key: SampleSet(rows[[i for i, k in enumerate(keys) if k == key]]) for key in dict.fromkeys(keys)
+    })
+    assert conditional_prediction(g, label, grouped).failures(1e-9) == []
 
 
 class TestTotalVariance:

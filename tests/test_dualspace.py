@@ -499,6 +499,13 @@ class TestEnsembleDistribution:
         with pytest.raises(ValueError, match="seed"):
             ensemble_distribution(g, s, 2, "primal", mc_draws=10)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+    def test_monte_carlo_seed_must_be_a_nonnegative_integer(self, seed):
+        g = SquaredEuclidean(1)
+        s = SampleSet(np.arange(3, dtype=float)[:, None])
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            ensemble_distribution(g, s, 2, "primal", mc_draws=2, seed=seed)
+
     def test_monte_carlo_deterministic(self):
         g = NegativeEntropySimplex(2)
         a = ensemble_distribution(g, kl_pair(), 2, "dual", mc_draws=64, seed=42)

@@ -146,10 +146,17 @@ class TestDivergence:
         g = NegativeEntropySimplex(2)
         assert divergence(g, [1.0, 0.0], [0.8, 0.2]) == pytest.approx(-np.log(0.8), abs=1e-14)
 
-    def test_boundary_second_argument_rejected(self):
+    def test_zero_second_argument_coordinate_rejected(self):
         g = NegativeEntropySimplex(2)
-        with pytest.raises(DomainError, match="refusing to clamp"):
-            divergence(g, [0.5, 0.5], [1e-13, 1.0 - 1e-13])
+        with pytest.raises(DomainError, match="second divergence argument outside the open-simplex domain"):
+            divergence(g, [0.5, 0.5], [0.0, 1.0])
+
+    def test_tiny_second_argument_coordinate_is_valid(self):
+        # any positive coordinate is inside the open simplex, as in a sample set
+        g = NegativeEntropySimplex(2)
+        x = np.array([1e-13, 1.0 - 1e-13])
+        closed_form = 0.5 * np.log(0.5 / x[0]) + 0.5 * np.log(0.5 / x[1]) - 1.0 + (x[0] + x[1])
+        assert divergence(g, [0.5, 0.5], x) == pytest.approx(closed_form, rel=1e-15)
 
     def test_boundary_first_argument_rejected_on_box(self):
         g = fig_2b_generator()
