@@ -366,6 +366,8 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     """
     import numpy as np
 
+    from .dualspace import _sizable
+
     center = np.asarray(center, dtype=float)
     g.domain.validate(center, role="center")
     kind = region.get("kind")
@@ -400,15 +402,14 @@ def emit_divergence_field(g, center, region, resolution: int, out) -> int:
     if not np.all(np.isfinite(span)):
         raise ValueError("region spans wider than the float range")
 
-    resolution = int(resolution)
+    resolution = _sizable(resolution, "resolution")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if resolution == 1:
         # halved first, so the sum stays in range; as exact as halving the sum
         axes = [np.array([0.5 * lo[j] + 0.5 * hi[j]]) for j in range(g.dim)]
     else:
-        # np.intp raises OverflowError beyond the C range, where linspace would raise IndexError
-        axes = [np.linspace(lo[j], hi[j], np.intp(resolution)) for j in range(g.dim)]
+        axes = [np.linspace(lo[j], hi[j], resolution) for j in range(g.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
     if disk_center is not None:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, EnumerationCapError
-from .generators import ConvexGenerator, FullSpace, divergence
+from .generators import ConvexGenerator, FullSpace, _frozen, divergence
 
 __all__ = [
     "SampleSet",
@@ -57,23 +57,11 @@ def _normalized(weights, n: int, what: str):
     return weights / total
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a`` that numpy will not make writable again.
-
-    An array that owns its data is made read-only in place, so callers pass
-    only arrays they made.  A view is kept when every array under it is
-    read-only; any other view (of a writable array, or of an outside buffer,
-    as an unpickled array's data may be) is copied first.
-    """
-    if a.base is not None:
-        base = a
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is not None:
-            a = a.copy()
-    if a.base is None:
-        a.setflags(write=False)
-    return a.view()
+def _sizable(count, name: str) -> int:
+    """``count`` as an int, or a ValueError naming it when numpy cannot size an array by it."""
+    if int(count) > np.iinfo(np.intp).max:
+        raise ValueError(f"{name} must be at most {np.iinfo(np.intp).max}, got {count}")
+    return int(count)
 
 
 class SampleSet:
@@ -83,8 +71,9 @@ class SampleSet:
     stored as a read-only ``(n, d)`` array that the set owns: a caller's
     float array is copied, so it stays writable and later writes to it never
     reach the set.  Instances are immutable: points and weights are
-    read-only views of read-only arrays, which numpy will not make writable
-    again, and a pickled or copied set comes back frozen the same way.
+    read-only views of arrays the set made, which numpy will not make
+    writable again, and a pickled or copied set copies what it restores and
+    comes back frozen the same way.
     """
 
     def __init__(self, points, weights=None):
@@ -103,14 +92,15 @@ class SampleSet:
 
     @classmethod
     def _over(cls, points, weights) -> "SampleSet":
-        """A set over arrays that already hold a set's invariants: no copy, no renormalization."""
+        """A set over read-only views that already hold a set's invariants: no copy, no renormalization."""
         s = cls.__new__(cls)
-        s.points, s.weights = _frozen(points), _frozen(weights)
+        s.points, s.weights = points, weights
         return s
 
     def __setstate__(self, state):
-        # pickle and copy (and pickles of earlier versions, which hold the same state) come back frozen
-        self.points, self.weights = _frozen(state["points"]), _frozen(state["weights"])
+        # pickle and copy (and pickles of earlier versions, which hold the same state) restore frozen copies
+        self.points = _frozen(np.array(state["points"], dtype=float))
+        self.weights = _frozen(np.array(state["weights"], dtype=float))
 
     @property
     def n(self) -> int:
@@ -168,8 +158,8 @@ class GroupedSampleSet:
 
     def __setstate__(self, state):
         # pickle and copy restore the mixture, then make the groups view its rows again
-        groups = state["_groups"]
-        self._assemble(list(groups), state["_flat"], state["_weights"], [s.weights for s in groups.values()])
+        groups, weights = state["_groups"], np.array(state["_weights"], dtype=float)
+        self._assemble(list(groups), state["_flat"], weights, [s.weights for s in groups.values()])
 
     @property
     def groups(self) -> Mapping:
@@ -411,9 +401,8 @@ def ensemble_distribution(
             raise ValueError("Monte Carlo ensembling requires an explicit seed")
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        rng = np.random.default_rng(seed)
-        # np.intp raises OverflowError beyond the C range, where choice would warn first
-        idx = rng.choice(s.n, size=(np.intp(mc_draws), np.intp(n)), p=s.weights)
+        size = (_sizable(mc_draws, "mc_draws"), _sizable(n, "n"))
+        idx = np.random.default_rng(seed).choice(s.n, size=size, p=s.weights)
         return SampleSet(side.from_coords(g, np.mean(coords[idx], axis=1)))
     total = math.comb(n + s.n - 1, n)
     if total > ENSEMBLE_ATOM_CAP:

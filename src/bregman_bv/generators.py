@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, an array the caller made, that numpy will not make writable again."""
+    a.setflags(write=False)
+    return a.view()
+
+
 def _rowdot(a, b):
     """Inner products over the trailing axis (faster than ``np.sum(a * b, axis=-1)``)."""
     return np.einsum("...i,...i->...", a, b)
@@ -79,7 +85,7 @@ class FullSpace(Domain):
 
 
 class OpenBox(Domain):
-    """Product of finite open intervals (lowers[i], uppers[i])."""
+    """Product of finite open intervals (lowers[i], uppers[i]); it keeps frozen copies of the bounds."""
 
     kind = "open-box"
 
@@ -93,10 +99,7 @@ class OpenBox(Domain):
         if not np.all(lowers < uppers):
             raise ValueError("each box interval needs lower < upper")
         super().__init__(lowers.size)
-        self.lowers = lowers
-        self.uppers = uppers
-        self.lowers.setflags(write=False)
-        self.uppers.setflags(write=False)
+        self.lowers, self.uppers = _frozen(lowers.copy()), _frozen(uppers.copy())
 
     def contains(self, x, allow_boundary: bool = False):
         x = np.asarray(x, dtype=float)
@@ -233,8 +236,7 @@ class Mahalanobis(ConvexGenerator):
             raise ValueError("Mahalanobis matrix must be positive definite") from exc
         self.name = "mahalanobis"
         self.domain = FullSpace(matrix.shape[0])
-        self._matrix = matrix
-        self._matrix.setflags(write=False)
+        self._matrix = _frozen(matrix)
 
     @property
     def matrix(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _Report
-from .dualspace import SampleSet, _compositions, check_samples, dual_mean, primal_mean
+from .dualspace import SampleSet, _compositions, _sizable, check_samples, dual_mean, primal_mean
 from .errors import DomainError
 from .generators import ConvexGenerator, FullSpace, OpenBox, OpenSimplex
 
@@ -48,6 +48,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
+        _sizable(self.grid_resolution, "grid_resolution")
 
 
 def _objective_to(g: ConvexGenerator, s: SampleSet):
@@ -221,8 +222,7 @@ def _argmin(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, objective):
         step = np.full(d, 1.0 / r)
     else:
         lo, hi = _box_bounds(g, s)
-        # np.intp raises OverflowError beyond the C range, where linspace would raise IndexError
-        blocks = _box_grid_blocks([np.linspace(lo[j], hi[j], np.intp(r)) for j in range(d)])
+        blocks = _box_grid_blocks([np.linspace(lo[j], hi[j], r) for j in range(d)])
         moves = [(j, j) for j in range(d)]
         step = (hi - lo) / (r - 1)
     z, best = _best_on_grid(objective, blocks)
@@ -276,16 +276,14 @@ class CertificationReport(_Report):
 
 def certify_means(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, tolerance: float):
     """Certify the primal and dual means of ``s`` by the objective values the oracles attain."""
-    check_samples(g, s)
     sides = []
-    # the primal mean minimizes E D(X, z), the dual mean E D(z, X)
-    for analytic, objective in (
-        (primal_mean(s), _objective_from(g, s)),
-        (dual_mean(g, s), _objective_to(g, s)),
+    # the primal mean minimizes E D(X, z), the dual mean E D(z, X); dual_mean validates s
+    for analytic, argmin, objective in (
+        (primal_mean(s), argmin_from, expected_divergence_from),
+        (dual_mean(g, s), argmin_to, expected_divergence_to),
     ):
-        found = _argmin(g, s, cfg, objective)
-        analytic_objective = float(objective(analytic)[0])
-        oracle_objective = float(objective(found)[0])
+        found = argmin(g, s, cfg)
+        analytic_objective, oracle_objective = objective(g, s, analytic), objective(g, s, found)
         gap = abs(analytic_objective - oracle_objective)
         sides.append(OracleSide(analytic_objective, oracle_objective, gap, analytic, found))
     return CertificationReport(cfg.grid_resolution, tolerance, *sides)

@@ -93,6 +93,13 @@ def random_grouped(g, rng, max_groups: int = 4, max_n: int = 5) -> GroupedSample
     return GroupedSampleSet(groups, rng.uniform(0.2, 1.0, size=k))
 
 
+def assert_frozen(a):
+    """``a`` is read-only, and numpy refuses to make it writable again."""
+    with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True of this array$"):
+        a.setflags(write=True)
+    assert not a.flags.writeable
+
+
 def fd_gradient(g, x):
     """Central finite differences (step ``FD_STEP``) of the generator value at an interior point.
 

@@ -76,6 +76,22 @@ def test_check_report_is_pinned(capsys):
     assert captured.out == expected.read_bytes().decode("utf-8")
 
 
+def test_check_runs_the_public_oracles(monkeypatch, capsys):
+    # the benchmark tracer times the oracle through these public names
+    from bregman_bv import oracle
+
+    calls = dict.fromkeys(["argmin_from", "argmin_to"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _argmin=getattr(oracle, name), **kwargs):
+            calls[_name] += 1
+            return _argmin(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    assert main(README_ARGV["check"]) == 0
+    assert calls == {"argmin_from": 1, "argmin_to": 1}
+    assert capsys.readouterr() == (EXPECTED["check"].read_bytes().decode("utf-8"), "")
+
+
 class TestIngest:
     def test_uniform_pair(self):
         s = ingest(fx("preds_pair.csv"))
@@ -1125,29 +1141,36 @@ def test_input_error_exits_one(tmp_path, monkeypatch, capsys, argv, message, fil
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-_BEYOND_C = str(10**20)  # beyond a C long: numpy refuses it before allocating anything
+_BEYOND_C = str(10**20)  # beyond the largest array size: refused by name before anything is allocated
 
 
-@pytest.mark.parametrize("argv", [
-    ["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "dual",
-     "--ensemble-n", _BEYOND_C, "--mc-draws", "4", "--seed", "1"],
-    ["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "dual",
-     "--ensemble-n", "3", "--mc-draws", _BEYOND_C, "--seed", "1"],
-    ["check", "--generator", "negative-entropy-simplex", "--dim", "3", "--labels", "s.csv",
-     "--grid-resolution", _BEYOND_C],
+_INTP_MAX = str(np.iinfo(np.intp).max)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "dual",
+      "--ensemble-n", _BEYOND_C, "--mc-draws", "4", "--seed", "1"],
+     f"n must be at most {_INTP_MAX}, got {_BEYOND_C}"),
+    (["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "dual",
+      "--ensemble-n", "3", "--mc-draws", _BEYOND_C, "--seed", "1"],
+     f"mc_draws must be at most {_INTP_MAX}, got {_BEYOND_C}"),
+    (["check", "--generator", "negative-entropy-simplex", "--dim", "3", "--labels", "s.csv",
+      "--grid-resolution", _BEYOND_C],
+     f"grid_resolution must be at most {_INTP_MAX}, got {_BEYOND_C}"),
     # a lattice whose index tuple cannot be sized raises a MemoryError with no message
-    ["check", "--generator", "negative-entropy-simplex", "--dim", "3", "--labels", "s.csv",
-     "--grid-resolution", str(2**62)],
-], ids=["ensemble-n", "mc-draws", "grid-resolution", "grid-resolution-2**62"])
-def test_counts_beyond_numpy_sizes_are_input_errors(tmp_path, capsys, argv):
+    (["check", "--generator", "negative-entropy-simplex", "--dim", "3", "--labels", "s.csv",
+      "--grid-resolution", str(2**62)],
+     "MemoryError"),
+    ([*_FIELD, "--region", "box", "--lo=-1,-1", "--hi=1,1", "--resolution", _BEYOND_C],
+     f"resolution must be at most {_INTP_MAX}, got {_BEYOND_C}"),
+], ids=["ensemble-n", "mc-draws", "grid-resolution", "grid-resolution-2**62", "field-resolution"])
+def test_counts_beyond_numpy_sizes_are_input_errors(tmp_path, capsys, argv, message):
     files = {"p.csv": "x0,x1\n0.1,0.2\n0.3,0.5\n", "l.csv": "x0,x1\n0,0\n",
              "s.csv": "x0,x1,x2\n0.2,0.3,0.5\n0.6,0.3,0.1\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.strip() != "error:"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Sample files the fuzz below draws from: rows on the open simplex, so each is

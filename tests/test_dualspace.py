@@ -34,7 +34,7 @@ from bregman_bv import (
     primal_variance,
     total_variance,
 )
-from conftest import build_generator, random_grouped, random_sample_set, spd_matrix
+from conftest import assert_frozen, build_generator, random_grouped, random_sample_set, spd_matrix
 
 # frozen from the analytic normalized geometric mean of {(0.8,0.2), (0.6,0.4)}
 GEOMETRIC_MEAN = np.array([0.71010205144336436, 0.28989794855663564])
@@ -74,12 +74,6 @@ def earlier_pickle(x):
     state = dict(vars(x), _flat=earlier_pickle(x._flat), _weights=x._weights.copy(), _offsets=x._offsets.copy())
     state["_groups"] = {k: earlier_pickle(s) for k, s in x._groups.items()}
     return _Pickled(GroupedSampleSet, state)
-
-
-def assert_frozen(a):
-    with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True of this array$"):
-        a.setflags(write=True)
-    assert not a.flags.writeable
 
 
 class TestSampleSet:

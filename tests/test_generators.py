@@ -19,6 +19,7 @@ from bregman_bv import (
 )
 from conftest import (
     GENERATOR_NAMES,
+    assert_frozen,
     build_generator,
     fd_gradient,
     fig_2b_generator,
@@ -91,6 +92,17 @@ class TestConstruction:
     def test_open_box_rejects_bad_bounds(self, lowers, uppers, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             OpenBox(lowers, uppers)
+
+    def test_constructors_leave_caller_arrays_alone(self):
+        lowers, uppers, matrix = np.zeros(2), np.ones(2), np.eye(2)
+        box, maha = OpenBox(lowers, uppers), Mahalanobis(matrix)
+        for mine, held in ((lowers, box.lowers), (uppers, box.uppers), (matrix, maha.matrix)):
+            assert mine.flags.writeable and not np.shares_memory(mine, held)
+
+    def test_held_arrays_cannot_be_made_writable(self):
+        box = OpenBox(np.zeros(2), np.ones(2))
+        for a in (box.lowers, box.uppers, Mahalanobis(np.eye(2)).matrix):
+            assert_frozen(a)
 
 
 def _contains_with_finiteness(domain, x, allow_boundary):
