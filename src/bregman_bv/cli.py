@@ -23,8 +23,8 @@ from .errors import EnumerationCapError, InversionError
 
 __all__ = ["ingest", "emit_divergence_field", "render_json"]
 
-# MemoryError: an allocation numpy refuses; OverflowError: a count beyond a C long
-_INPUT_ERRORS = (InversionError, EnumerationCapError, ValueError, OSError, MemoryError, OverflowError)
+# MemoryError: an allocation numpy refuses
+_INPUT_ERRORS = (InversionError, EnumerationCapError, ValueError, OSError, MemoryError)
 
 
 # ---------------------------------------------------------------------------

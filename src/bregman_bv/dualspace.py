@@ -191,11 +191,7 @@ def check_samples(g: ConvexGenerator, s: SampleSet, *, allow_boundary: bool = Fa
         raise DomainError(f"points have dimension {s.dim}, generator expects {g.dim}")
     if type(g.domain) is FullSpace:
         return
-    boundary_ok = allow_boundary and g.boundary_first_args
-    mask = g.domain.contains(s.points, allow_boundary=boundary_ok)
-    if not np.all(mask):
-        bad = np.flatnonzero(~mask).tolist()
-        raise DomainError(f"samples {bad} outside the {g.domain.kind} domain")
+    g.domain.validate(s.points, allow_boundary=allow_boundary and g.boundary_first_args, role="samples")
 
 
 class _GroupedMoments(NamedTuple):
@@ -402,6 +398,8 @@ def ensemble_distribution(
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         size = (_sizable(mc_draws, "mc_draws"), _sizable(n, "n"))
+        if math.prod(size) > np.iinfo(np.intp).max // 8:  # the draws fill one (mc_draws, n) array of 8-byte entries
+            raise ValueError(f"mc_draws * n must be at most {np.iinfo(np.intp).max // 8}, got {math.prod(size)}")
         idx = np.random.default_rng(seed).choice(s.n, size=size, p=s.weights)
         return SampleSet(side.from_coords(g, np.mean(coords[idx], axis=1)))
     total = math.comb(n + s.n - 1, n)

@@ -70,8 +70,10 @@ class Domain:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.dim:
             raise DomainError(f"{role}: expected trailing dimension {self.dim}, got shape {x.shape}")
-        if not np.all(self.contains(x, allow_boundary=allow_boundary)):
-            raise DomainError(f"{role} outside the {self.kind} domain")
+        inside = self.contains(x, allow_boundary=allow_boundary)
+        if not np.all(inside):
+            rows = f" {np.flatnonzero(~inside).tolist()}" if x.ndim == 2 else ""
+            raise DomainError(f"{role}{rows} outside the {self.kind} domain")
 
 
 class FullSpace(Domain):
@@ -322,8 +324,15 @@ class Piece(NamedTuple):
     upper: float
 
 
-def _bisect_increasing(fn, target, lo, hi, *, xtol=1e-12, max_iter=200):
-    """Invert a strictly increasing map on [lo, hi] for an array of targets."""
+def _float_midpoint(a, b):
+    """Midpoint of ``a <= b`` in float order: 0.0 across zero, else halfway between the magnitudes' bits."""
+    ia, ib = np.abs(a).view(np.int64), np.abs(b).view(np.int64)
+    mid = (ia + (ib - ia) // 2).view(np.float64)
+    return np.where((a < 0.0) & (b > 0.0), 0.0, np.where(a < 0.0, -mid, mid))
+
+
+def _bisect_increasing(fn, target, lo, hi):
+    """Invert a strictly increasing elementwise map on [lo, hi]: 64 float-order halvings leave adjacent floats."""
     target = np.asarray(target, dtype=float)
     a = np.full(target.shape, lo)
     b = np.full(target.shape, hi)
@@ -333,14 +342,12 @@ def _bisect_increasing(fn, target, lo, hi, *, xtol=1e-12, max_iter=200):
         np.all(np.isfinite(below)) and np.all(np.isfinite(above))
     ):
         raise InversionError("dual coordinate outside the gradient image of the piece interval")
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
+    for _ in range(64):
+        mid = _float_midpoint(a, b)
         high = np.asarray(fn(mid), dtype=float) > target
         b = np.where(high, mid, b)
         a = np.where(high, a, mid)
-        if np.max(b - a) <= xtol:
-            return 0.5 * (a + b)
-    raise InversionError(f"bisection did not reach tolerance {xtol:g} in {max_iter} iterations")
+    return a  # the largest float found whose image does not exceed the target: within one ulp of the root
 
 
 class SeparableCustom(ConvexGenerator):
@@ -349,9 +356,9 @@ class SeparableCustom(ConvexGenerator):
     Each piece is a :class:`Piece` or a ``(fun, deriv, lower, upper)``
     tuple.  Convexity of each piece is probed at construction: the supplied
     derivative is sampled across the interval and must be finite and
-    strictly increasing.  ``grad_conj`` inverts each derivative by
-    bracketing bisection (absolute tolerance 1e-12, at most 200 iterations),
-    so the user never supplies a second derivative.
+    strictly increasing.  ``grad_conj`` inverts every derivative at once by
+    bracketing bisection to adjacent floats (within one ulp of the root), so
+    the user never supplies a second derivative.
     """
 
     _PROBE_POINTS = 33
@@ -391,17 +398,8 @@ class SeparableCustom(ConvexGenerator):
         return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
     def grad_conj(self, xstar):
-        xstar = np.asarray(xstar, dtype=float)
-        cols = []
-        for i, piece in enumerate(self._pieces):
-            width = piece.upper - piece.lower
-            inset = self._BRACKET_INSET * width
-            cols.append(
-                _bisect_increasing(
-                    piece.deriv, xstar[..., i], piece.lower + inset, piece.upper - inset
-                )
-            )
-        return np.stack(np.broadcast_arrays(*cols), axis=-1)
+        inset = self._BRACKET_INSET * (self.domain.uppers - self.domain.lowers)
+        return _bisect_increasing(self.grad, xstar, self.domain.lowers + inset, self.domain.uppers - inset)
 
 
 def divergence(g: ConvexGenerator, y, x, *, validate: bool = True):

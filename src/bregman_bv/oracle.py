@@ -39,8 +39,8 @@ _MAX_PASSES = 200
 class OracleConfig:
     """Knob of the grid-search oracles.
 
-    ``grid_resolution`` counts grid points per axis (lattice resolution on
-    the simplex).
+    ``grid_resolution`` counts grid points per axis (on the simplex, the
+    lattice resolution, split into ``dim`` positive parts: at least ``dim``).
     """
 
     grid_resolution: int = 128
@@ -215,6 +215,8 @@ def _argmin(g: ConvexGenerator, s: SampleSet, cfg: OracleConfig, objective):
     r = cfg.grid_resolution
     d = g.dim
     if isinstance(g.domain, OpenSimplex):
+        if r < d:
+            raise ValueError(f"grid_resolution must be at least the dimension {d} on the simplex, got {r}")
         pts = _simplex_lattice(d, r)
         blocks = (pts[start : start + _CHUNK] for start in range(0, len(pts), _CHUNK))
         moves = list(itertools.combinations(range(d), 2))

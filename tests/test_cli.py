@@ -1124,6 +1124,13 @@ _FIELD = ["field", *_EUCLID, "--center=0,0"]
                                    "--label-onehot"],
                  "seed must be a nonnegative integer, got -1",
                  {"l.csv": "x0,x1,x2\n1,0,0\n", "p.csv": "x0,x1,x2\n0.7,0.2,0.1\n0.5,0.3,0.2\n"}),
+    _input_error("dim-beyond-c-long", ["decompose", "--generator", "squared-euclidean", "--dim", str(10**20),
+                                       "--labels", "l.csv", "--predictions", "l.csv"],
+                 f"l.csv: points have dimension 2, generator expects {10**20}", {"l.csv": "x0,x1\n0,0\n"}),
+    # the interior lattice splits the resolution into --dim positive parts
+    _input_error("simplex-lattice-below-dim", ["check", *_SIMPLEX3, "--labels", "s.csv", "--grid-resolution", "2"],
+                 "grid_resolution must be at least the dimension 3 on the simplex, got 2",
+                 {"s.csv": "x0,x1,x2\n0.2,0.3,0.5\n0.6,0.3,0.1\n"}),
     _input_error("thread-cap-not-integer", ["decompose", *_EUCLID, "--labels", fx("labels_euclid.csv"),
                                             "--predictions", fx("preds_euclid.csv")],
                  "BREGMAN_BV_THREADS must be a nonnegative integer", env={"BREGMAN_BV_THREADS": "two"}),
@@ -1163,7 +1170,15 @@ _INTP_MAX = str(np.iinfo(np.intp).max)
      "MemoryError"),
     ([*_FIELD, "--region", "box", "--lo=-1,-1", "--hi=1,1", "--resolution", _BEYOND_C],
      f"resolution must be at most {_INTP_MAX}, got {_BEYOND_C}"),
-], ids=["ensemble-n", "mc-draws", "grid-resolution", "grid-resolution-2**62", "field-resolution"])
+    # the draws fill one (mc_draws, n) array of 8-byte entries
+    (["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "primal",
+      "--ensemble-n", str(2**63 - 2), "--mc-draws", "1", "--seed", "1"],
+     f"mc_draws * n must be at most {2**60 - 1}, got {2**63 - 2}"),
+    (["ensemble", *_EUCLID, "--labels", "l.csv", "--predictions", "p.csv", "--mode", "primal",
+      "--ensemble-n", str(2**58), "--mc-draws", "2", "--seed", "1"],
+     f"Unable to allocate 4.00 EiB for an array with shape (2, {2**58}) and data type float64"),
+], ids=["ensemble-n", "mc-draws", "grid-resolution", "grid-resolution-2**62", "field-resolution",
+        "mc-draws-times-n", "mc-draws-times-n-unallocatable"])
 def test_counts_beyond_numpy_sizes_are_input_errors(tmp_path, capsys, argv, message):
     files = {"p.csv": "x0,x1\n0.1,0.2\n0.3,0.5\n", "l.csv": "x0,x1\n0,0\n",
              "s.csv": "x0,x1,x2\n0.2,0.3,0.5\n0.6,0.3,0.1\n"}
@@ -1171,6 +1186,14 @@ def test_counts_beyond_numpy_sizes_are_input_errors(tmp_path, capsys, argv, mess
         (tmp_path / name).write_text(text)
     assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_seed_beyond_a_c_long_is_valid(tmp_path, capsys):
+    (tmp_path / "l.csv").write_text("x0,x1\n0,0\n")
+    (tmp_path / "p.csv").write_text("x0,x1\n0.1,0.2\n0.3,0.5\n")
+    assert main(["ensemble", *_EUCLID, "--labels", str(tmp_path / "l.csv"), "--predictions", str(tmp_path / "p.csv"),
+                 "--mode", "primal", "--ensemble-n", "3", "--mc-draws", "2", "--seed", _BEYOND_C]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # Sample files the fuzz below draws from: rows on the open simplex, so each is

@@ -11,10 +11,14 @@ from bregman_bv import (
     NegativeEntropySimplex,
     OpenBox,
     OpenSimplex,
+    Piece,
+    SampleSet,
     SeparableCustom,
     SquaredEuclidean,
+    decompose,
     divergence,
     dual_divergence,
+    dual_mean,
     triangle_expansion,
 )
 from conftest import (
@@ -163,6 +167,12 @@ class TestDivergence:
         with pytest.raises(DomainError, match="second divergence argument outside the open-simplex domain"):
             divergence(g, [0.5, 0.5], [0.0, 1.0])
 
+    def test_batch_names_the_rows_outside(self):
+        g = NegativeEntropySimplex(2)
+        second = [[0.5, 0.5], [0.0, 1.0], [0.25, 0.75]]
+        with pytest.raises(DomainError, match=r"^second divergence argument \[1\] outside the open-simplex domain$"):
+            divergence(g, [0.5, 0.5], second)
+
     def test_tiny_second_argument_coordinate_is_valid(self):
         # any positive coordinate is inside the open simplex, as in a sample set
         g = NegativeEntropySimplex(2)
@@ -204,6 +214,49 @@ class TestDualDivergence:
         # the gradient image of (-1, 1) under 2t/(1-t^2) is bracketed; 1e16 is outside
         with pytest.raises(InversionError):
             dual_divergence(g, [1e16, 0.0], [0.0, 0.0])
+
+
+def _square_pieces(lower, upper):
+    return SeparableCustom([Piece(lambda t: t * t, lambda t: 2.0 * t, lower, upper)] * 2)
+
+
+class TestBisection:
+    """``SeparableCustom.grad_conj`` bisects every piece at once down to adjacent floats."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])
+    def test_square_pieces_match_squared_euclidean(self, scale):
+        # the sets lie apart: the generic formula cancels F values, and a bias far below
+        # them would measure that cancellation rather than the inverse
+        pieces, euclid = _square_pieces(-10.0, 10.0), SquaredEuclidean(2)
+        rng = np.random.default_rng(25)
+        for _ in range(30):
+            labels = SampleSet(scale * rng.uniform(1.0, 5.0, size=(15, 2)))
+            predictions = SampleSet(scale * rng.uniform(-5.0, -1.0, size=(12, 2)))
+            got, want = decompose(pieces, labels, predictions), decompose(euclid, labels, predictions)
+            assert np.array_equal(got.central_prediction, want.central_prediction)
+            assert got.bias == pytest.approx(want.bias, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [0.5, 1e-3, 1e-6, 1e-9])
+    def test_round_trip_within_four_ulps(self, scale):
+        g = build_generator("separable-custom", 3)
+        x = scale * np.random.default_rng(26).uniform(-1.0, 1.0, size=(1000, 3))
+        assert np.all(np.abs(g.grad_conj(g.grad(x)) - x) <= 4 * np.spacing(np.abs(x)))
+
+    def test_wide_intervals(self):
+        g = _square_pieces(-1e60, 1e60)
+        assert np.array_equal(dual_mean(g, SampleSet([[1.0, 2.0], [3.0, -1.0]])), [2.0, 0.5])
+
+    def test_at_most_66_derivative_calls_per_piece(self):
+        calls = []
+
+        def deriv(t):
+            calls.append(1)
+            return np.sinh(t)
+
+        g = SeparableCustom([(np.cosh, deriv, -1.5, 1.5)] * 2)
+        calls.clear()  # construction probes the derivative too
+        g.grad_conj(np.random.default_rng(27).uniform(-2.0, 2.0, size=(50, 2)))
+        assert len(calls) <= 2 * 66
 
 
 class TestTriangleExpansion:

@@ -173,6 +173,13 @@ class TestArgmin:
         assert np.array_equal(argmin_to(gen, s, cfg), argmin_to(gen, s, cfg))
         assert np.array_equal(argmin_from(gen, s, cfg), argmin_from(gen, s, cfg))
 
+    def test_simplex_lattice_needs_the_dimension(self):
+        g, s = NegativeEntropySimplex(3), SampleSet([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+        with pytest.raises(ValueError, match="^grid_resolution must be at least the dimension 3 on the simplex, got 2$"):
+            argmin_to(g, s, OracleConfig(grid_resolution=2))
+        # resolution 3 is the one-point lattice (1/3, 1/3, 1/3), refined from there
+        assert np.all(np.isfinite(argmin_to(g, s, OracleConfig(grid_resolution=3))))
+
     @pytest.mark.parametrize("g, points, message", [
         (SquaredEuclidean(3), [[0.0, 1.0], [1.0, 0.0]], "points have dimension 2, generator expects 3"),
         (NegativeEntropySimplex(2), [[1.2, -0.2], [0.5, 0.5]], r"samples \[0\] outside the open-simplex domain"),
