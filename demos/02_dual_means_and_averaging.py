@@ -21,10 +21,8 @@ from bregman_bv import (
     SampleSet,
     SquaredEuclidean,
     certify_means,
-    dual_average,
     dual_mean,
     dual_variance,
-    primal_average,
     primal_mean,
     primal_variance,
 )
@@ -67,8 +65,8 @@ print("dual variance   E D(dual mean, X):", dual_variance(entropy, samples))
 # ----------------------------------------------------------------------------
 
 batch = np.array([[0.8, 0.2], [0.6, 0.4]])
-print("\nprimal average:", primal_average(batch))
-print("dual average (geometric):", dual_average(entropy, batch))
+print("\nprimal average:", primal_mean(SampleSet(batch)))
+print("dual average (geometric):", dual_mean(entropy, SampleSet(batch)))
 
 # for a symmetric divergence the two means coincide
 euclid = SquaredEuclidean(2)

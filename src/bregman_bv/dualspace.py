@@ -1,4 +1,4 @@
-"""Empirical distributions and their primal/dual means, variances and averages.
+"""Empirical distributions and their primal/dual means and variances.
 
 Expectations are exact weighted sums over finite sample sets, so the
 decomposition identities built on top hold to floating-point precision.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -27,8 +28,6 @@ __all__ = [
     "dual_mean",
     "primal_variance",
     "dual_variance",
-    "primal_average",
-    "dual_average",
     "ensemble_distribution",
     "ENSEMBLE_ATOM_CAP",
 ]
@@ -59,9 +58,10 @@ def _normalized(weights, n: int, what: str):
 
 def _sizable(count, name: str) -> int:
     """``count`` as an int, or a ValueError naming it when numpy cannot size an array by it."""
-    if int(count) > np.iinfo(np.intp).max:
+    count = operator.index(count)
+    if count > np.iinfo(np.intp).max:
         raise ValueError(f"{name} must be at most {np.iinfo(np.intp).max}, got {count}")
-    return int(count)
+    return count
 
 
 class SampleSet:
@@ -140,6 +140,10 @@ class GroupedSampleSet:
             weights = np.full(len(keys), 1.0 / len(keys))
         else:
             if isinstance(group_weights, Mapping):
+                if group_weights.keys() != groups.keys():
+                    missing = [k for k in keys if k not in group_weights]
+                    extra = [k for k in group_weights if k not in groups]
+                    raise ValueError(f"group weights must name exactly the groups: missing {missing}, extra {extra}")
                 group_weights = [group_weights[k] for k in keys]
             weights = _normalized(group_weights, len(keys), "groups")
         flat = SampleSet(
@@ -265,9 +269,6 @@ class _Side(NamedTuple):
             total = float(flat.weights @ self.spread(g, flat.points, whole_center))
         return _GroupedMoments(grouped._weights, centers, within, whole_center, total)
 
-    def average(self, g, s: SampleSet):  # unweighted
-        return self.from_coords(g, np.mean(self.to_coords(g, s.points), axis=0))
-
 
 _PRIMAL = _Side(
     role="label",
@@ -328,22 +329,6 @@ def dual_variance(g: ConvexGenerator, s: SampleSet) -> float:
     return _DUAL.variance(g, s)
 
 
-def primal_average(points):
-    """Plain arithmetic mean of a batch of points."""
-    return _PRIMAL.average(None, SampleSet(points))
-
-
-def dual_average(g: ConvexGenerator, points):
-    """Arithmetic mean taken in gradient coordinates, mapped back.
-
-    For the simplex entropy generator this is the normalized geometric mean
-    of the points.
-    """
-    s = SampleSet(points)
-    check_samples(g, s)
-    return _DUAL.average(g, s)
-
-
 def _compositions(parts: int, total: int):
     """Every way to write ``total`` as an ordered sum of ``parts`` nonnegative integers.
 
@@ -384,10 +369,10 @@ def ensemble_distribution(
     draws of one atom is that atom, so a one-atom set is returned as it is.
     """
     side = _side(mode)
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
-    if mc_draws is not None and int(mc_draws) < 1:
+    if mc_draws is not None and operator.index(mc_draws) < 1:
         raise ValueError(f"mc_draws must be >= 1, got {mc_draws}")
     if n == 1 or s.n == 1:
         return s

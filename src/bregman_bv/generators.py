@@ -16,6 +16,7 @@ form; separable generators use the formula above.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,7 +58,7 @@ class Domain:
     kind = ""
 
     def __init__(self, dim: int):
-        dim = int(dim)
+        dim = operator.index(dim)
         if dim <= 0:
             raise ValueError("domain dimension must be a positive integer")
         self.dim = dim
@@ -278,7 +279,7 @@ class NegativeEntropySimplex(ConvexGenerator):
     boundary_first_args = True
 
     def __init__(self, dim: int):
-        if int(dim) < 2:
+        if operator.index(dim) < 2:
             raise ValueError("the simplex generator needs dimension >= 2")
         self.name = "negative-entropy-simplex"
         self.domain = OpenSimplex(dim)

@@ -46,9 +46,8 @@ class OracleConfig:
     grid_resolution: int = 128
 
     def __post_init__(self):
-        if self.grid_resolution < 2:
+        if _sizable(self.grid_resolution, "grid_resolution") < 2:
             raise ValueError("grid_resolution must be at least 2")
-        _sizable(self.grid_resolution, "grid_resolution")
 
 
 def _objective_to(g: ConvexGenerator, s: SampleSet):

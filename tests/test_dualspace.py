@@ -1,8 +1,9 @@
-"""Sample sets, primal/dual means and variances, averaging and ensembling."""
+"""Sample sets, primal/dual means and variances, and ensembling."""
 
 import array
 import copy
 import copyreg
+import io
 import math
 import pickle
 from fractions import Fraction
@@ -19,17 +20,18 @@ from bregman_bv import (
     GroupedSampleSet,
     Mahalanobis,
     NegativeEntropySimplex,
+    OracleConfig,
     SampleSet,
     SquaredEuclidean,
     check_samples,
     conditional_label,
     conditional_prediction,
     decompose,
-    dual_average,
     dual_mean,
     dual_variance,
+    emit_divergence_field,
     ensemble_distribution,
-    primal_average,
+    ensemble_effect,
     primal_mean,
     primal_variance,
     total_variance,
@@ -94,6 +96,8 @@ class TestSampleSet:
     def test_rejections(self):
         with pytest.raises(ValueError):
             SampleSet(np.empty((0, 2)))
+        with pytest.raises(ValueError, match=r"^points must form a nonempty \(n, d\) array$"):
+            SampleSet([])
         with pytest.raises(ValueError):
             SampleSet([[np.nan, 0.0]])
         with pytest.raises(ValueError):
@@ -255,6 +259,16 @@ class TestGroupedSampleSet:
         assert_frozen(s.points)
         assert_frozen(s.weights)
 
+    def test_weight_mapping_names_exactly_the_groups(self):
+        groups = {"a": SampleSet([[0.0]]), "b": SampleSet([[4.0]])}
+        named = r"^group weights must name exactly the groups: "
+        with pytest.raises(ValueError, match=named + r"missing \[\], extra \['c'\]$"):
+            GroupedSampleSet(groups, {"a": 1.0, "b": 1.0, "c": 5.0})
+        with pytest.raises(ValueError, match=named + r"missing \['a'\], extra \['c'\]$"):
+            GroupedSampleSet(groups, {"c": 1.0, "b": 1.0})
+        # the mapping's order does not matter
+        assert dict(GroupedSampleSet(groups, {"b": 3.0, "a": 1.0}).group_weights) == {"a": 0.25, "b": 0.75}
+
     def test_overflowing_group_weight_sum(self):
         grouped = GroupedSampleSet(
             {"a": SampleSet([[0.0]]), "b": SampleSet([[4.0]])}, {"a": 1e308, "b": 1.5e308}
@@ -354,7 +368,6 @@ class TestQuadraticDualMean:
         g = Mahalanobis(spd_matrix(3))
         for x in 1e4 + np.random.default_rng(10).uniform(-2.0, 2.0, size=(20, 3)):
             assert np.array_equal(dual_mean(g, SampleSet([x])), x)
-            assert np.array_equal(dual_average(g, x), x)
 
 
 class TestVariances:
@@ -387,40 +400,6 @@ class TestVariances:
         g = NegativeEntropySimplex(3)
         s = SampleSet([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert primal_variance(g, s) == pytest.approx(np.log(2.0), rel=1e-15)
-
-
-class TestAverages:
-    def test_primal_average_pair(self):
-        assert np.allclose(primal_average([[0.8, 0.2], [0.6, 0.4]]), [0.7, 0.3])
-
-    def test_primal_average_degenerate(self):
-        assert np.allclose(primal_average([[0.3, 0.7]]), [0.3, 0.7])
-        assert np.allclose(primal_average(np.tile([0.3, 0.7], (4, 1))), [0.3, 0.7])
-
-    def test_dual_average_collapses_for_euclidean(self):
-        g = SquaredEuclidean(2)
-        pts = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
-        assert np.allclose(dual_average(g, pts), primal_average(pts), atol=1e-12)
-
-    def test_dual_average_geometric_mean(self):
-        g = NegativeEntropySimplex(2)
-        got = dual_average(g, [[0.8, 0.2], [0.6, 0.4]])
-        assert np.max(np.abs(got - GEOMETRIC_MEAN)) <= 1e-12
-
-    def test_dual_average_single(self):
-        g = NegativeEntropySimplex(2)
-        assert np.allclose(dual_average(g, [[0.8, 0.2]]), [0.8, 0.2], atol=1e-12)
-
-    def test_rejects_what_a_sample_set_rejects(self):
-        for average in (primal_average, lambda points: dual_average(SquaredEuclidean(2), points)):
-            with pytest.raises(ValueError, match=r"^points must form a nonempty \(n, d\) array$"):
-                average([])
-            with pytest.raises(ValueError, match=r"^non-finite coordinates in data rows \[1\]$"):
-                average([[0.5, 0.5], [np.nan, 0.5]])
-
-    def test_dual_average_rejects_off_domain_points(self):
-        with pytest.raises(DomainError, match=r"^samples \[0\] outside the open-simplex domain$"):
-            dual_average(NegativeEntropySimplex(2), [[0.5, 0.6]])
 
 
 class TestMomentsCheckTheirSamples:
@@ -530,6 +509,31 @@ class TestEnsembleDistribution:
         ens = ensemble_distribution(SquaredEuclidean(1), SampleSet([[0.0], [1.0]]), 1100, "primal")
         assert 1 < ens.n < 1101
         assert primal_mean(ens)[0] == pytest.approx(0.5, abs=1e-12)
+
+
+PAIR_1D = SampleSet([[0.0], [1.0]])
+# each count the package reads, as a call taking it
+COUNTS = {
+    "dim": SquaredEuclidean,
+    "simplex-dim": NegativeEntropySimplex,
+    "grid_resolution": lambda k: OracleConfig(grid_resolution=k),
+    "ensemble-n": lambda k: ensemble_distribution(SquaredEuclidean(1), PAIR_1D, k, "dual"),
+    "mc_draws": lambda k: ensemble_distribution(SquaredEuclidean(1), PAIR_1D, 2, "dual", mc_draws=k, seed=1),
+    "ensemble_effect-n": lambda k: ensemble_effect(SquaredEuclidean(1), [0.0], PAIR_1D, k, "dual"),
+    "field-resolution": lambda k: emit_divergence_field(
+        SquaredEuclidean(2), [0.0, 0.0], {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, k, io.StringIO()
+    ),
+}
+
+
+@pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS)
+def test_counts_are_integers(count):
+    # a float or a string count is refused as range() refuses it, not truncated or parsed
+    for bad in (2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(TypeError):
+            count(bad)
+    count(3)
+    count(np.int64(3))
 
 
 class TestDualMeanLaws:

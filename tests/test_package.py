@@ -14,9 +14,9 @@ PUBLIC_NAMES = [
     "NegativeEntropySimplex", "OpenBox", "OpenSimplex", "OracleConfig", "Piece", "SampleSet",
     "SeparableCustom", "SquaredEuclidean", "TotalVarianceReport", "TriangleExpansion", "argmin_from",
     "argmin_to", "certify_means", "check_samples", "conditional_label", "conditional_prediction",
-    "decompose", "divergence", "dual_average", "dual_divergence", "dual_mean", "dual_variance",
+    "decompose", "divergence", "dual_divergence", "dual_mean", "dual_variance",
     "emit_divergence_field", "ensemble_distribution", "ensemble_effect", "expected_divergence_from",
-    "expected_divergence_to", "ingest", "primal_average", "primal_mean", "primal_variance",
+    "expected_divergence_to", "ingest", "primal_mean", "primal_variance",
     "render_json", "total_variance", "triangle_expansion",
 ]
 

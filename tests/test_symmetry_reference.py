@@ -26,10 +26,8 @@ from bregman_bv import (
     conditional_prediction,
     decompose,
     divergence,
-    dual_average,
     dual_variance,
     ensemble_distribution,
-    primal_average,
     primal_mean,
     primal_variance,
     total_variance,
@@ -69,17 +67,6 @@ def ref_dual_variance(g, s):
         return 0.0
     center = ref_dual_mean(g, s)
     return float(s.weights @ divergence(g, center, s.points, validate=False))
-
-
-def ref_primal_average(points):
-    return np.mean(np.atleast_2d(np.asarray(points, dtype=float)), axis=0)
-
-
-def ref_dual_average(g, points):
-    if g.quadratic:
-        return ref_primal_average(points)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return g.grad_conj(np.mean(g.grad(points), axis=0))
 
 
 def ref_total_variance(g, grouped, mode):
@@ -168,13 +155,11 @@ def ref_ensemble(g, s, n, mode):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_variances_and_averages_match_mirror_formulas(gen, seed):
+def test_variances_match_mirror_formulas(gen, seed):
     rng = np.random.default_rng(seed)
     s = random_sample_set(gen, rng)
     assert primal_variance(gen, s) == ref_primal_variance(gen, s)
     assert dual_variance(gen, s) == ref_dual_variance(gen, s)
-    assert np.array_equal(primal_average(s.points), ref_primal_average(s.points))
-    assert np.array_equal(dual_average(gen, s.points), ref_dual_average(gen, s.points))
 
 
 def large_grouped(g, rng, groups=40):
